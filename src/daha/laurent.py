@@ -12,7 +12,11 @@ representation is built from:
   ``f(X_1, ..., X_k) -> f(c^2 X_k, X_1, ..., X_{k-1})``, which on a monomial
   cyclically shifts the exponent vector and scales by ``c^(2 n_1)``,
 * :func:`exact_divide` -- exact division by ``X_i * X_{i+1}^-1 - 1``, the
-  denominator of the divided-difference part of the braid action.
+  denominator of the divided-difference part of the braid action,
+
+and :func:`braid_kernel`, the divided difference built from
+:func:`swap_variables` and :func:`exact_divide` that both module actions of
+the braid letter s_i share.
 
 The number of variables (the rank) travels with every value and binary
 operations refuse to mix ranks; there is no broadcasting.
@@ -25,7 +29,7 @@ from typing import Iterable, Mapping
 
 from ._tokens import TokenStream, parse_signed_int
 from .errors import NonDivisibleError, ParseError, RankMismatchError
-from .scalars import ScalarPoly, _format_term, parse_scalar_sum
+from .scalars import ScalarPoly, _format_term, hbar, parse_scalar_sum
 
 ExponentVector = tuple[int, ...]
 
@@ -352,17 +356,32 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
             )
     quotient = LaurentPoly._raw(f.rank, data)
 
-    if __debug__:
-        divisor = LaurentPoly(
-            f.rank,
-            [
-                (tuple(1 if k == idx else -1 if k == idx + 1 else 0 for k in range(f.rank)), 1),
-                ((0,) * f.rank, -1),
-            ],
+    # Multiply-back certification.  It runs under every interpreter flag, so
+    # a wrong quotient is a failed check even under ``python -O``.
+    divisor = LaurentPoly(
+        f.rank,
+        [
+            (tuple(1 if k == idx else -1 if k == idx + 1 else 0 for k in range(f.rank)), 1),
+            ((0,) * f.rank, -1),
+        ],
+    )
+    if quotient * divisor != f:
+        raise NonDivisibleError(
+            f"exact_divide multiply-back certification failed for X{i}*X{i + 1}^-1 - 1"
         )
-        assert quotient * divisor == f, "exact_divide multiply-back certification failed"
-
     return quotient
+
+
+def braid_kernel(f: LaurentPoly, i: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The divided difference shared by both actions of the braid letter s_i.
+
+    Returns ``(swap_i f, hbar * (swap_i f - f) / (X_i X_{i+1}^-1 - 1))`` with
+    the division exact (:func:`exact_divide`).  The polynomial representation
+    sends f to ``s * swap_i f + g``; the skein module rewrites ``s_i a^n`` as
+    ``swap_i a^n * s_i + g`` for the monomial ``f = a^n``.
+    """
+    swapped = swap_variables(f, i)
+    return swapped, exact_divide(swapped - f, i).scale(hbar())
 
 
 # -- parsing ---------------------------------------------------------------------

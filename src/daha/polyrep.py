@@ -7,7 +7,8 @@ The generators act on ``Z[s^±1, c^±1][X_1^±1, ..., X_k^±1]`` by
 
       f  |->  s * swap_i(f) + (s - s^-1) * (swap_i(f) - f) / (X_i X_{i+1}^-1 - 1),
 
-  where the division is exact (:func:`~daha.laurent.exact_divide`),
+  where the division is exact; the pair (swap_i(f), the quotient term) is
+  :func:`~daha.laurent.braid_kernel`, which the skein push-through shares,
 * ``y_1``: the twisted rotation :func:`~daha.laurent.rotate_variables`
   followed by s_{k-1}^-1, ..., s_1^-1 (rotation acts first),
 * ``s_i^-1 = s_i - (s - s^-1)`` from the quadratic relation, and ``y_1^-1``
@@ -22,13 +23,7 @@ set.  All operations are pure and inputs are never mutated.
 from __future__ import annotations
 
 from .errors import RankMismatchError
-from .laurent import (
-    LaurentPoly,
-    exact_divide,
-    rotate_variables,
-    rotate_variables_inverse,
-    swap_variables,
-)
+from .laurent import LaurentPoly, braid_kernel, rotate_variables, rotate_variables_inverse
 from .scalars import hbar, s_power
 from .words import GeneratorWord, expand_y
 
@@ -40,8 +35,8 @@ def act_x(i: int, f: LaurentPoly, exp: int = 1) -> LaurentPoly:
 
 def act_sigma(i: int, f: LaurentPoly) -> LaurentPoly:
     """Apply the braid letter s_i."""
-    swapped = swap_variables(f, i)
-    return swapped.scale(s_power(1)) + exact_divide(swapped - f, i).scale(hbar())
+    swapped, g = braid_kernel(f, i)
+    return swapped.scale(s_power(1)) + g
 
 
 def act_sigma_inv(i: int, f: LaurentPoly) -> LaurentPoly:

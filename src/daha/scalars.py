@@ -42,9 +42,9 @@ class ScalarPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         data: dict[ExponentTriple, int] = {}
         for exps, coeff in items:
-            key = (int(exps[0]), int(exps[1]), int(exps[2]))
             if len(exps) != 3:
                 raise ValueError(f"exponent triple expected, got {exps!r}")
+            key = (int(exps[0]), int(exps[1]), int(exps[2]))
             total = data.get(key, 0) + int(coeff)
             if total:
                 data[key] = total

@@ -24,16 +24,22 @@ Generator actions (all pure functions; inputs never mutated):
 
   where t_i sigma is sigma precomposed with the position swap (i, i+1).  On
   a general pair the braid letter is first pushed through the monomial with
-  :func:`push_sigma_past_monomial`, using the commutation rules
+  :func:`push_sigma_past_monomial`, which rewrites s_i a^n as f s_i + g in
+  closed form:
+
+      f = swap_i a^n,    g = hbar (swap_i a^n - a^n) / (a_i a_{i+1}^-1 - 1).
+
+  This is the divided difference of the polynomial representation,
+  :func:`~daha.laurent.braid_kernel`, applied to the monomial a^n; the
+  division is exact and the cost grows linearly in |n_i - n_{i+1}|.  It
+  agrees with pushing s_i through the letters of a^n one at a time by
 
       s_i x_i     = x_{i+1} s_i - hbar x_{i+1}
       s_i x_{i+1} = x_i s_i     + hbar x_{i+1}
       s_i x_j     = x_j s_i                       (j != i, i+1)
 
-  and their inverse-letter consequences
-
-      s_i x_i^-1     = x_{i+1}^-1 s_i + hbar x_i^-1
-      s_i x_{i+1}^-1 = x_i^-1 s_i     - hbar x_i^-1.
+  and their inverse-letter consequences, which the tests keep as the slow
+  oracle.
 
 * ``y_1`` sends (a^n, sigma) to c^(2 n_1) times the basis pair with
   cyclically shifted exponents (a_kappa picks up n_1) and permutation
@@ -53,7 +59,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._tokens import TokenStream, parse_signed_int
 from .errors import ParseError, RankMismatchError
-from .laurent import LaurentPoly, _format_laurent_term, _monomial_string
+from .laurent import LaurentPoly, _format_laurent_term, _monomial_string, braid_kernel
 from .scalars import ScalarPoly, c_power, d_power, hbar, parse_scalar_sum
 from .words import GeneratorWord, expand_y
 
@@ -81,9 +87,6 @@ class Permutation:
 
     def __call__(self, j: int) -> int:
         return self.images[j - 1]
-
-    def is_identity(self) -> bool:
-        return all(v == j for j, v in enumerate(self.images, start=1))
 
     def precompose_swap(self, i: int) -> "Permutation":
         """Compose with the transposition of positions i, i+1 acting first.
@@ -196,13 +199,7 @@ class SkeinElement:
         if not other._terms:
             return self
         data = dict(self._terms)
-        for key, coeff in other._terms.items():
-            total = data.get(key)
-            total = coeff if total is None else total + coeff
-            if total.is_zero():
-                del data[key]
-            else:
-                data[key] = total
+        _add_terms(data, other._terms)
         return SkeinElement._raw(self._kappa, data)
 
     def __neg__(self) -> "SkeinElement":
@@ -242,10 +239,10 @@ class SkeinElement:
         """Multiply by a Laurent polynomial in the a-variables."""
         if poly.rank != self._kappa:
             raise RankMismatchError(f"rank {poly.rank} does not match kappa {self._kappa}")
-        result = SkeinElement.zero(self._kappa)
+        data: dict[BasisKey, ScalarPoly] = {}
         for exps, coeff in poly.terms.items():
-            result = result + self.shift_exponents(exps, coeff)
-        return result
+            _add_terms(data, self.shift_exponents(exps, coeff)._terms)
+        return SkeinElement._raw(self._kappa, data)
 
     def substitute_d_eq_s(self) -> "SkeinElement":
         """Set d = s in every coefficient (cancellations are pruned)."""
@@ -279,6 +276,23 @@ class SkeinElement:
 
     def __repr__(self) -> str:
         return f"<SkeinElement kappa={self._kappa} {self}>"
+
+
+def _add_terms(
+    data: dict[BasisKey, ScalarPoly],
+    terms: Mapping[BasisKey, ScalarPoly],
+    coeff: ScalarPoly | None = None,
+) -> None:
+    """Add coeff * terms into data in place, pruning keys that cancel."""
+    for key, value in terms.items():
+        if coeff is not None:
+            value = value * coeff
+        total = data.get(key)
+        total = value if total is None else total + value
+        if total.is_zero():
+            data.pop(key, None)
+        else:
+            data[key] = total
 
 
 def _format_skein_term(coeff: ScalarPoly, exps: ExponentVector, perm: Permutation) -> tuple[int, str]:
@@ -319,83 +333,41 @@ def act_sigma_base(i: int, perm: Permutation) -> SkeinElement:
     )
 
 
-_POS, _NEG = 1, -1
-
-
-def _letter_rule(i: int, j: int, sign: int, kappa: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """The pair (A, B) with s_i x_j^sign = A s_i + B, as a-polynomials."""
-    var = LaurentPoly.variable
-    h = hbar()
-    if j == i and sign == _POS:
-        return var(kappa, i + 1), var(kappa, i + 1).scale(-h)
-    if j == i + 1 and sign == _POS:
-        return var(kappa, i), var(kappa, i + 1).scale(h)
-    if j == i and sign == _NEG:
-        return var(kappa, i + 1, -1), var(kappa, i, -1).scale(h)
-    if j == i + 1 and sign == _NEG:
-        return var(kappa, i, -1), var(kappa, i, -1).scale(-h)
-    return var(kappa, j, sign), LaurentPoly.zero(kappa)
-
-
-def monomial_letters(
-    exps: Sequence[int], variable_order: Sequence[int] | None = None
-) -> list[tuple[int, int]]:
-    """Factor an a-monomial into single letters (variable index, ±1).
-
-    The default order is a_1^{n_1} ... a_kappa^{n_kappa} left to right; a
-    different variable order yields the same algebra element, which the
-    oracle tests exploit.
-    """
-    kappa = len(exps)
-    order = range(1, kappa + 1) if variable_order is None else variable_order
-    if sorted(order) != list(range(1, kappa + 1)):
-        raise ValueError(f"variable_order must be a permutation of 1..{kappa}, got {variable_order}")
-    letters: list[tuple[int, int]] = []
-    for j in order:
-        e = exps[j - 1]
-        sign = _POS if e > 0 else _NEG
-        letters.extend((j, sign) for _ in range(abs(e)))
-    return letters
-
-
-def push_sigma_past_monomial(
-    i: int,
-    exps: Sequence[int],
-    variable_order: Sequence[int] | None = None,
-) -> tuple[LaurentPoly, LaurentPoly]:
+def push_sigma_past_monomial(i: int, exps: Sequence[int]) -> tuple[LaurentPoly, LaurentPoly]:
     """Rewrite s_i * a^exps as f * s_i + g with f, g polynomials in the a's.
 
-    The braid letter moves right through the letter factorization of the
-    monomial one letter at a time, applying the commutation rules listed in
-    the module docstring.  The result does not depend on the factorization
-    order; coefficients involve only powers of s.
+    Closed form (see the module docstring): ``f = swap_i a^exps`` and
+    ``g = hbar (f - a^exps) / (a_i a_{i+1}^-1 - 1)``; coefficients involve
+    only powers of s.
     """
-    kappa = len(exps)
-    if not 1 <= i <= kappa - 1:
-        raise IndexError(f"braid index {i} out of range for kappa {kappa}")
-    f = LaurentPoly.one(kappa)
-    g = LaurentPoly.zero(kappa)
-    for j, sign in monomial_letters(exps, variable_order):
-        a_part, b_part = _letter_rule(i, j, sign, kappa)
-        letter_monomial = LaurentPoly.variable(kappa, j, sign)
-        g = f * b_part + g * letter_monomial
-        f = f * a_part
-    return f, g
+    return braid_kernel(LaurentPoly.monomial(len(exps), exps), i)
 
 
 def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
-    """Apply the braid letter s_i to a general element."""
-    if not 1 <= i <= v.kappa - 1:
-        raise IndexError(f"braid index {i} out of range for kappa {v.kappa}")
-    result = SkeinElement.zero(v.kappa)
+    """Apply the braid letter s_i to a general element.
+
+    Terms are grouped by exponent vector, so each distinct monomial is pushed
+    once: the terms c_sigma (a^n, sigma) map to
+    f * sum c_sigma s_i(1, sigma) + g * sum c_sigma (1, sigma).
+    """
+    kappa = v.kappa
+    if not 1 <= i <= kappa - 1:
+        raise IndexError(f"braid index {i} out of range for kappa {kappa}")
+    by_exps: dict[ExponentVector, list[tuple[Permutation, ScalarPoly]]] = {}
     for (exps, perm), coeff in v.terms.items():
+        by_exps.setdefault(exps, []).append((perm, coeff))
+    zero_exps = (0,) * kappa
+    data: dict[BasisKey, ScalarPoly] = {}
+    for exps, pairs in by_exps.items():
         f, g = push_sigma_past_monomial(i, exps)
-        base = act_sigma_base(i, perm)
-        moved = base.multiply_by_a_poly(f)
+        braided: dict[BasisKey, ScalarPoly] = {}
+        for perm, coeff in pairs:
+            _add_terms(braided, act_sigma_base(i, perm)._terms, coeff)
+        _add_terms(data, SkeinElement._raw(kappa, braided).multiply_by_a_poly(f)._terms)
         if not g.is_zero():
-            moved = moved + SkeinElement.basis(v.kappa, (0,) * v.kappa, perm).multiply_by_a_poly(g)
-        result = result + moved.scale(coeff)
-    return result
+            unbraided = SkeinElement._raw(kappa, {(zero_exps, perm): coeff for perm, coeff in pairs})
+            _add_terms(data, unbraided.multiply_by_a_poly(g)._terms)
+    return SkeinElement._raw(kappa, data)
 
 
 def act_sigma_inv(i: int, v: SkeinElement) -> SkeinElement:

@@ -29,7 +29,7 @@ from daha import (
 )
 from daha import polyrep
 from daha import skein as skein_mod
-from daha.skein import monomial_letters, push_sigma_past_monomial
+from daha.skein import push_sigma_past_monomial
 from daha.verify import (
     check_averaging_eigenvalue,
     check_intertwiner,
@@ -40,6 +40,8 @@ from daha.verify import (
     random_words,
     single_generator_words,
 )
+
+from push_oracle import monomial_letters, sigma_letter_by_letter
 
 SEED = 74031
 
@@ -164,24 +166,6 @@ def test_criterion_6_exact_division_totality():
            f"1000 random polynomials (seed {SEED + 2}), {failures} failures")
 
 
-def _sigma_letter_by_letter(i, letters, perm):
-    """Independent oracle for the push engine: recurse one letter at a time
-    through the module action instead of assembling the pushed pair."""
-    from daha.skein import _letter_rule, act_sigma_base
-
-    kappa = perm.size
-    if not letters:
-        return act_sigma_base(i, perm)
-    (j, sign), rest = letters[0], letters[1:]
-    inner = _sigma_letter_by_letter(i, rest, perm)
-    a_part, b_part = _letter_rule(i, j, sign, kappa)
-    rest_exps = [0] * kappa
-    for k, s in rest:
-        rest_exps[k - 1] += s
-    rest_element = SkeinElement.basis(kappa, rest_exps, perm)
-    return inner.multiply_by_a_poly(a_part) + rest_element.multiply_by_a_poly(b_part)
-
-
 def test_criterion_7_push_oracle():
     rng = random.Random(SEED + 3)
     failures = 0
@@ -195,8 +179,8 @@ def test_criterion_7_push_oracle():
         base = skein_mod.act_sigma_base(i, perm)
         via_push = base.multiply_by_a_poly(f) + SkeinElement.basis(kappa, (0,) * kappa, perm).multiply_by_a_poly(g)
 
-        forward = _sigma_letter_by_letter(i, monomial_letters(exps), perm)
-        backward = _sigma_letter_by_letter(
+        forward = sigma_letter_by_letter(i, monomial_letters(exps), perm)
+        backward = sigma_letter_by_letter(
             i, monomial_letters(exps, variable_order=range(kappa, 0, -1)), perm
         )
         if not (via_push == forward == backward):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from daha import CheckReport, Counterexample
+from daha import CheckReport, Counterexample, LaurentPoly
 from daha.cli import main
 
 
@@ -123,6 +123,16 @@ class TestCheck:
         assert code == 1
         assert "FAIL poly:forced" in out
         assert "word:  w" in out
+
+    def test_failed_certification_exits_one(self, capsys, monkeypatch):
+        # A wrong product makes exact_divide's multiply-back check fail; the
+        # suite reports that as a failed check, not as a crash.
+        monkeypatch.setattr(LaurentPoly, "__mul__", lambda self, other: LaurentPoly.zero(self.rank))
+        code, out, _ = run(capsys, "check", "--suite", "relations", "--kappa", "2",
+                           "--max-exp", "1", "--max-inputs", "4")
+        assert code == 1
+        assert "FAIL relations:aborted" in out
+        assert "certification failed" in out
 
     def test_bad_kappa_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "--suite", "relations", "--kappa", "0")

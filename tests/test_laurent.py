@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -148,6 +154,31 @@ class TestExactDivide:
             exact_divide(LaurentPoly.one(2), 1)
         with pytest.raises(NonDivisibleError):
             exact_divide(X(1) + X(2), 1)
+
+    def test_certification_runs_under_optimize_flag(self):
+        # The multiply-back check must not be an assert: under python -O a
+        # wrong product still makes exact_divide raise NonDivisibleError.
+        script = textwrap.dedent(
+            """
+            import sys
+            from daha import LaurentPoly, NonDivisibleError, exact_divide
+            if __debug__:
+                sys.exit("expected to run under python -O")
+            f = LaurentPoly.variable(2, 2) - LaurentPoly.variable(2, 1)
+            LaurentPoly.__mul__ = lambda self, other: LaurentPoly.zero(self.rank)
+            try:
+                exact_divide(f, 1)
+            except NonDivisibleError:
+                print("raised")
+            """
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "raised"
 
     def test_high_power_difference(self):
         f = X(1, 3) - X(2, 3) * X(1, 0)

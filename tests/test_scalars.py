@@ -49,6 +49,11 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             hbar() ** -1
 
+    @pytest.mark.parametrize("exps", [(1, 2), (1, 2, 3, 4), ()])
+    def test_wrong_length_exponent_triple_raises_value_error(self, exps):
+        with pytest.raises(ValueError, match="exponent triple expected"):
+            ScalarPoly([(exps, 1)])
+
     def test_zero_terms_pruned_on_construction(self):
         poly = ScalarPoly([((1, 0, 0), 2), ((1, 0, 0), -2), ((0, 1, 0), 0)])
         assert poly == ZERO

@@ -1,14 +1,16 @@
 """Tests for the skein module and the enhanced representation.
 
-The push-through rewriting engine is checked against an independent oracle:
-the same braid-letter action computed one loop letter at a time through the
+The closed-form push-through is checked against the independent oracles of
+``push_oracle``: the push computed one monomial letter at a time, and the
+same braid-letter action computed one loop letter at a time through the
 module structure (peel one letter, commute, recurse), never forming the
-whole (f, g) pair.  Both computations must agree for every permutation, and
-the push result must not depend on the monomial factorization order.
+whole (f, g) pair.  They must agree for every permutation and for both
+factorization orders of the monomial.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -37,10 +39,11 @@ from daha.skein import (
     act_x,
     act_y1,
     act_y1_inv,
-    monomial_letters,
 )
+from daha.verify import symmetrize
 
 from conftest import permutations, skein_elements
+from push_oracle import monomial_letters, push_by_letters, sigma_letter_by_letter
 
 E2 = Permutation.identity(2)
 T2 = Permutation((2, 1))
@@ -155,31 +158,36 @@ class TestPush:
             kappa = rng.randint(2, 3)
             exps = tuple(rng.randint(-3, 3) for _ in range(kappa))
             i = rng.randint(1, kappa - 1)
-            forward = push_sigma_past_monomial(i, exps)
-            reverse = push_sigma_past_monomial(i, exps, variable_order=range(kappa, 0, -1))
-            assert forward == reverse
+            closed = push_sigma_past_monomial(i, exps)
+            assert push_by_letters(i, exps) == closed
+            assert push_by_letters(i, exps, variable_order=range(kappa, 0, -1)) == closed
 
     def test_bad_variable_order(self):
         with pytest.raises(ValueError):
-            push_sigma_past_monomial(1, (1, 0), variable_order=[1, 1])
+            push_by_letters(1, (1, 0), variable_order=[1, 1])
 
+    def test_index_range(self):
+        with pytest.raises(IndexError):
+            push_sigma_past_monomial(2, (1, 0))
 
-def sigma_letter_by_letter(i: int, letters, perm: Permutation) -> SkeinElement:
-    """Independent oracle: s_i . (letters . (1, perm)) computed recursively,
-    one loop letter at a time, without assembling the pushed pair."""
-    from daha.skein import _letter_rule
+    def test_closed_form_exhaustive_small(self):
+        # Every braid index and every exponent vector with |n_j| <= 4 for
+        # kappa 2 and 3: 81 + 2 * 729 = 1539 cases.
+        cases = 0
+        for kappa in (2, 3):
+            for exps in itertools.product(range(-4, 5), repeat=kappa):
+                for i in range(1, kappa):
+                    assert push_sigma_past_monomial(i, exps) == push_by_letters(i, exps), (i, exps)
+                    cases += 1
+        assert cases == 1539
 
-    kappa = perm.size
-    if not letters:
-        return act_sigma_base(i, perm)
-    (j, sign), rest = letters[0], letters[1:]
-    inner = sigma_letter_by_letter(i, rest, perm)
-    a_part, b_part = _letter_rule(i, j, sign, kappa)
-    rest_exps = [0] * kappa
-    for k, s in rest:
-        rest_exps[k - 1] += s
-    rest_element = SkeinElement.basis(kappa, rest_exps, perm)
-    return inner.multiply_by_a_poly(a_part) + rest_element.multiply_by_a_poly(b_part)
+    def test_closed_form_deep_exponents(self):
+        # The exponent range of the push_deep_k3 benchmark workload.
+        rng = random.Random(17)
+        for _ in range(12):
+            exps = tuple(rng.randint(-32, 32) for _ in range(3))
+            i = rng.randint(1, 2)
+            assert push_sigma_past_monomial(i, exps) == push_by_letters(i, exps), (i, exps)
 
 
 class TestPushOracle:
@@ -244,6 +252,27 @@ class TestBraidAction:
                     pair = unit(kappa, perm) + unit(kappa, perm.precompose_swap(i))
                     lhs = act_sigma(i, pair).substitute_d_eq_s()
                     assert lhs == pair.scale(s_power(1))
+
+    def test_symmetrized_input_equals_sum_over_basis_pairs(self):
+        # A symmetrized element has kappa! terms per exponent vector, which
+        # act_sigma pushes once; the result must be the sum of the action on
+        # each basis pair alone.
+        rng = random.Random(19)
+        for kappa in (2, 3):
+            for _ in range(6):
+                f = LaurentPoly(
+                    kappa,
+                    [
+                        (tuple(rng.randint(-3, 3) for _ in range(kappa)), s_power(rng.randint(-2, 2)))
+                        for _ in range(rng.randint(1, 3))
+                    ],
+                )
+                v = symmetrize(f)
+                for i in range(1, kappa):
+                    termwise = SkeinElement.zero(kappa)
+                    for (exps, perm), coeff in v.terms.items():
+                        termwise = termwise + act_sigma(i, SkeinElement.basis(kappa, exps, perm, coeff))
+                    assert act_sigma(i, v) == termwise
 
     @given(skein_elements(kappa=2), st.integers(min_value=1, max_value=1))
     def test_hecke_relation(self, v, i):
