@@ -20,10 +20,16 @@ the braid letter s_i share.
 
 The number of variables (the rank) travels with every value and binary
 operations refuse to mix ranks; there is no broadcasting.
+
+A product with a one-term factor (as in ``x_i`` and the certification of
+:func:`exact_divide`) shifts the exponent vectors injectively and multiplies
+coefficients in an integral domain, so it is built in one pass with no term
+merging or cancelling.
 """
 
 from __future__ import annotations
 
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -161,18 +167,34 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         _check_rank(self, other)
-        data: dict[ExponentVector, ScalarPoly] = {}
-        for a_key, a_coeff in self._terms.items():
-            for b_key, b_coeff in other._terms.items():
-                key = tuple(a + b for a, b in zip(a_key, b_key))
-                prod = a_coeff * b_coeff
-                total = data.get(key)
-                total = prod if total is None else total + prod
-                if total.is_zero():
-                    data.pop(key, None)
-                else:
-                    data[key] = total
-        return LaurentPoly._raw(self._rank, data)
+        if len(other._terms) == 1:
+            poly, unit = self, other
+        elif len(self._terms) == 1:
+            poly, unit = other, self
+        else:
+            data: dict[ExponentVector, ScalarPoly] = {}
+            for a_key, a_coeff in self._terms.items():
+                for b_key, b_coeff in other._terms.items():
+                    key = tuple(a + b for a, b in zip(a_key, b_key))
+                    prod = a_coeff * b_coeff
+                    total = data.get(key)
+                    total = prod if total is None else total + prod
+                    if total.is_zero():
+                        data.pop(key, None)
+                    else:
+                        data[key] = total
+            return LaurentPoly._raw(self._rank, data)
+        # One-term factor: an injective key shift, and coefficient products
+        # that cannot vanish over an integral domain, so nothing merges or
+        # cancels.
+        ((shift, factor),) = unit._terms.items()
+        if factor.is_one():
+            return LaurentPoly._raw(self._rank, {
+                tuple(map(add, key, shift)): coeff for key, coeff in poly._terms.items()
+            })
+        return LaurentPoly._raw(self._rank, {
+            tuple(map(add, key, shift)): coeff * factor for key, coeff in poly._terms.items()
+        })
 
     __rmul__ = __mul__
 
@@ -183,11 +205,15 @@ class LaurentPoly:
             return LaurentPoly._raw(self._rank, {})
         if coeff.is_one():
             return self
+        # Nonzero times nonzero is nonzero in the integral domain of scalars.
+        # Runs of one coefficient object (as in exact_divide's quotients) are
+        # multiplied once.
         data: dict[ExponentVector, ScalarPoly] = {}
+        last = new = None
         for key, old in self._terms.items():
-            new = old * coeff
-            if not new.is_zero():
-                data[key] = new
+            if old is not last:
+                last, new = old, old * coeff
+            data[key] = new
         return LaurentPoly._raw(self._rank, data)
 
     def substitute_d_eq_s(self) -> "LaurentPoly":
@@ -324,6 +350,11 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
     its coefficients sum to zero; otherwise :class:`NonDivisibleError` is
     raised.  Differences (swap - 1)f are always divisible, so this error on
     such input signals an arithmetic bug upstream.
+
+    The quotient q is certified before it is returned: ``q * Y == f + q``
+    must hold, which is ``q * (Y - 1) == f`` rearranged so that the product
+    is a one-term shift.  A failed certification also raises
+    :class:`NonDivisibleError`.
     """
     _check_adjacent_index(i, f.rank)
     idx = i - 1
@@ -356,16 +387,15 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
             )
     quotient = LaurentPoly._raw(f.rank, data)
 
-    # Multiply-back certification.  It runs under every interpreter flag, so
-    # a wrong quotient is a failed check even under ``python -O``.
-    divisor = LaurentPoly(
-        f.rank,
-        [
-            (tuple(1 if k == idx else -1 if k == idx + 1 else 0 for k in range(f.rank)), 1),
-            ((0,) * f.rank, -1),
-        ],
-    )
-    if quotient * divisor != f:
+    # Multiply-back certification of quotient * (Y - 1) == f, checked as
+    # quotient * Y == f + quotient (the same identity by distributivity) so
+    # that the only product is by the one-term Y = X_i X_{i+1}^-1: a key
+    # shift.  It runs under every interpreter flag, so a wrong quotient is a
+    # failed check even under ``python -O``.
+    shift = [0] * f.rank
+    shift[idx], shift[idx + 1] = 1, -1
+    y = LaurentPoly._raw(f.rank, {tuple(shift): ScalarPoly.one()})
+    if quotient * y != f + quotient:
         raise NonDivisibleError(
             f"exact_divide multiply-back certification failed for X{i}*X{i + 1}^-1 - 1"
         )

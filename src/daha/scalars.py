@@ -14,11 +14,15 @@ precision, so no overflow handling is needed.  Values are immutable after
 construction and all operations are pure; the canonical form (no zero terms,
 unique keys) is maintained by every constructor and operation, so ``==`` is
 exact ring equality.
+
+A product with a one-term factor is a shift of the exponent triples and a
+scaling of the coefficients: no two terms can merge and, Z being an integral
+domain, none can vanish, so it is built in one pass without the
+accumulate-and-prune loop that general products need.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -131,16 +135,32 @@ class ScalarPoly:
             return NotImplemented
         if not self._terms or not other._terms:
             return _ZERO
-        data: dict[ExponentTriple, int] = {}
-        for (a_s, a_c, a_d), a_coeff in self._terms.items():
-            for (b_s, b_c, b_d), b_coeff in other._terms.items():
-                key = (a_s + b_s, a_c + b_c, a_d + b_d)
-                total = data.get(key, 0) + a_coeff * b_coeff
-                if total:
-                    data[key] = total
-                else:
-                    del data[key]
-        return ScalarPoly._raw(data)
+        if len(other._terms) == 1:
+            poly, unit = self, other
+        elif len(self._terms) == 1:
+            poly, unit = other, self
+        else:
+            data: dict[ExponentTriple, int] = {}
+            for (a_s, a_c, a_d), a_coeff in self._terms.items():
+                for (b_s, b_c, b_d), b_coeff in other._terms.items():
+                    key = (a_s + b_s, a_c + b_c, a_d + b_d)
+                    total = data.get(key, 0) + a_coeff * b_coeff
+                    if total:
+                        data[key] = total
+                    else:
+                        del data[key]
+            return ScalarPoly._raw(data)
+        # A one-term factor shifts the exponents injectively and Z has no zero
+        # divisors, so no two terms merge and none vanishes: the product is
+        # canonical as built.  The factor 1 returns the other operand, which
+        # is safe because values are immutable.
+        ((e_s, e_c, e_d), n), = unit._terms.items()
+        if n == 1 and not (e_s or e_c or e_d):
+            return poly
+        return ScalarPoly._raw({
+            (a_s + e_s, a_c + e_c, a_d + e_d): a_coeff * n
+            for (a_s, a_c, a_d), a_coeff in poly._terms.items()
+        })
 
     __rmul__ = __mul__
 
@@ -165,7 +185,7 @@ class ScalarPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    # -- substitution and evaluation ----------------------------------------
+    # -- substitution -------------------------------------------------------
 
     def substitute_d_eq_s(self) -> "ScalarPoly":
         """Set d = s: fold every d-exponent into the s-exponent.
@@ -184,13 +204,6 @@ class ScalarPoly:
             else:
                 del data[key]
         return ScalarPoly._raw(data)
-
-    def evaluate(self, s: Fraction | int = 1, c: Fraction | int = 1, d: Fraction | int = 1) -> Fraction:
-        """Evaluate at nonzero rational points (test helper)."""
-        total = Fraction(0)
-        for (e_s, e_c, e_d), coeff in self._terms.items():
-            total += coeff * Fraction(s) ** e_s * Fraction(c) ** e_c * Fraction(d) ** e_d
-        return total
 
     # -- printing ------------------------------------------------------------
 

@@ -53,7 +53,7 @@ Generator actions (all pure functions; inputs never mutated):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -68,14 +68,31 @@ ExponentVector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Permutation:
-    """An element of S_kappa in one-line image notation, 1-based."""
+    """An element of S_kappa in one-line image notation, 1-based.
+
+    The hash is computed once, because permutations are dict keys in every
+    basis pair.
+    """
 
     images: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kappa = len(self.images)
         if kappa < 1 or sorted(self.images) != list(range(1, kappa + 1)):
             raise ValueError(f"{self.images} is not a permutation of 1..{kappa}")
+        object.__setattr__(self, "_hash", hash(self.images))
+
+    @classmethod
+    def _raw(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap images already known to form a permutation (internal fast path)."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "images", images)
+        object.__setattr__(obj, "_hash", hash(images))
+        return obj
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def identity(cls, kappa: int) -> "Permutation":
@@ -100,13 +117,7 @@ class Permutation:
             raise IndexError(f"swap index {i} out of range for size {self.size}")
         images = list(self.images)
         images[i - 1], images[i] = images[i], images[i - 1]
-        return Permutation(tuple(images))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * self.size
-        for j, v in enumerate(self.images, start=1):
-            images[v - 1] = j
-        return Permutation(tuple(images))
+        return Permutation._raw(tuple(images))
 
     def __str__(self) -> str:
         return "[" + " ".join(str(v) for v in self.images) + "]"

@@ -107,17 +107,16 @@ class _Tally:
 def symmetrize(f: LaurentPoly) -> SkeinElement:
     """Send each monomial to the sum of basis pairs over all permutations.
 
-    The coefficients of f must not involve d.
+    The coefficients of f must not involve d.  The result is canonical as
+    built: the basis pairs are distinct and every coefficient is a nonzero
+    coefficient of f.
     """
     if f.coefficients_have_d():
         raise ValueError("the averaging map is not defined for coefficients involving d")
     kappa = f.rank
     perms = list(all_permutations(kappa))
-    data = {}
-    for exps, coeff in f.terms.items():
-        for perm in perms:
-            data[(exps, perm)] = coeff
-    return SkeinElement(kappa, data)
+    data = {(exps, perm): coeff for exps, coeff in f.terms.items() for perm in perms}
+    return SkeinElement._raw(kappa, data)
 
 
 def is_permutation_uniform(v: SkeinElement) -> bool:

@@ -19,6 +19,7 @@ from daha import (
     c_power,
     d_power,
     exact_divide,
+    hbar,
     parse_laurent,
     rotate_variables,
     rotate_variables_inverse,
@@ -28,6 +29,7 @@ from daha import (
 from daha.errors import ParseError
 
 from conftest import laurent_polys, scalar_polys
+from product_oracle import laurent_product
 
 
 def X(i: int, exp: int = 1, rank: int = 2) -> LaurentPoly:
@@ -65,6 +67,44 @@ class TestRingOps:
             X(1, 1, 2) + X(1, 1, 3)
         with pytest.raises(RankMismatchError):
             X(1, 1, 2) * X(1, 1, 3)
+
+    @given(
+        st.tuples(*[st.integers(-3, 3)] * 3),
+        st.one_of(
+            st.sampled_from([1, -1, 2, -3, 7]).map(ScalarPoly.integer),
+            scalar_polys(max_terms=3).filter(bool),
+        ),
+        laurent_polys(rank=3, max_terms=6),
+    )
+    def test_one_term_product_matches_double_loop(self, shift, coeff, f):
+        unit = LaurentPoly.monomial(3, shift, coeff)
+        expected = laurent_product(unit, f)
+        assert unit * f == expected
+        assert f * unit == expected
+
+    @given(laurent_polys(rank=3, max_terms=6))
+    def test_one_term_product_by_one(self, f):
+        assert f * LaurentPoly.one(3) == f == LaurentPoly.one(3) * f
+
+    def test_scale_with_shared_coefficient_objects(self):
+        # Runs of one coefficient object, as in exact_divide's quotients, and
+        # runs broken by another object, against the double loop.
+        a, b = s_power(1) - c_power(2), ScalarPoly.integer(-3)
+        pattern = [a, a, b, a, b, b, a]
+        f = LaurentPoly(2, [((j, -j), coeff) for j, coeff in enumerate(pattern)])
+        for factor in (hbar(), ScalarPoly.integer(2), s_power(-1), ScalarPoly.one()):
+            expected = laurent_product(LaurentPoly.monomial(2, (0, 0), factor), f)
+            assert f.scale(factor) == expected
+
+    def test_one_term_product_shifts_keys(self):
+        f = X(1, 2).scale(s_power(1) - s_power(-1)) - X(2).scale(c_power(3))
+        unit = LaurentPoly.monomial(2, (1, -1), ScalarPoly.monomial(-1, 0, 2, coeff=-2))
+        expected = LaurentPoly(2, [
+            ((3, -1), ScalarPoly({(0, 0, 2): -2, (-2, 0, 2): 2})),
+            ((1, 0), ScalarPoly({(-1, 3, 2): 2})),
+        ])
+        assert unit * f == expected == f * unit
+        assert laurent_product(unit, f) == expected
 
     @given(laurent_polys(rank=3), laurent_polys(rank=3), laurent_polys(rank=3))
     def test_ring_axioms(self, f, g, h):

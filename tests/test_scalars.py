@@ -5,15 +5,31 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from daha import ScalarPoly, c_power, d_power, hbar, parse_scalar, s_power
 from daha.errors import ParseError
 
 from conftest import scalar_polys
+from product_oracle import scalar_product
 
 ZERO = ScalarPoly.zero()
 ONE = ScalarPoly.one()
+
+# One-term factors: coefficients +-1 and |c| > 1, with and without a shift.
+UNIT_COEFFS = (1, -1, 2, -3, 7, -1000)
+one_term_scalars = st.builds(
+    ScalarPoly.monomial,
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.sampled_from(UNIT_COEFFS),
+)
+
+
+def evaluate(poly: ScalarPoly, s=1, c=1, d=1) -> Fraction:
+    """Evaluate at nonzero rational points."""
+    total = Fraction(0)
+    for (e_s, e_c, e_d), coeff in poly.terms.items():
+        total += coeff * Fraction(s) ** e_s * Fraction(c) ** e_c * Fraction(d) ** e_d
+    return total
 
 
 class TestArithmetic:
@@ -68,8 +84,8 @@ class TestHbar:
         assert hbar() + s_power(-1) == s_power(1)
 
     def test_vanishes_at_s_equals_one(self):
-        assert hbar().evaluate(s=1) == 0
-        assert hbar().evaluate(s=2) == Fraction(3, 2)
+        assert evaluate(hbar(), s=1) == 0
+        assert evaluate(hbar(), s=2) == Fraction(3, 2)
 
 
 class TestSubstituteD:
@@ -116,7 +132,31 @@ class TestRingAxioms:
     @given(scalar_polys())
     def test_evaluation_is_consistent_with_mul(self, a):
         point = dict(s=Fraction(2), c=Fraction(1, 3), d=Fraction(-5))
-        assert (a * a).evaluate(**point) == a.evaluate(**point) ** 2
+        assert evaluate(a * a, **point) == evaluate(a, **point) ** 2
+
+
+class TestOneTermProduct:
+    """Products with a one-term factor against the plain double loop."""
+
+    @given(one_term_scalars, scalar_polys(max_terms=6))
+    def test_matches_double_loop_in_both_orders(self, unit, poly):
+        expected = scalar_product(unit, poly)
+        assert unit * poly == expected
+        assert poly * unit == expected
+
+    @given(scalar_polys(max_terms=6))
+    def test_factor_one_returns_the_operand(self, poly):
+        assert poly * ONE == poly == ONE * poly
+        if len(poly.terms) > 1:
+            assert poly * ONE is poly
+            assert ONE * poly is poly
+
+    def test_shift_and_scale(self):
+        poly = s_power(2) - 3 * c_power(-1) + d_power(1)
+        unit = ScalarPoly.monomial(1, -2, 3, coeff=-5)
+        expected = ScalarPoly({(3, -2, 3): -5, (1, -3, 3): 15, (1, -2, 4): -5})
+        assert unit * poly == expected == poly * unit
+        assert scalar_product(unit, poly) == expected
 
 
 class TestTextFormat:

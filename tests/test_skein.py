@@ -53,6 +53,13 @@ def unit(kappa: int, perm: Permutation) -> SkeinElement:
     return SkeinElement.basis(kappa, (0,) * kappa, perm)
 
 
+def inverse(perm: Permutation) -> Permutation:
+    images = [0] * perm.size
+    for j, v in enumerate(perm.images, start=1):
+        images[v - 1] = j
+    return Permutation(tuple(images))
+
+
 class TestPermutation:
     def test_swap_on_identity(self):
         assert E2.precompose_swap(1) == T2
@@ -74,14 +81,32 @@ class TestPermutation:
                 assert (perm(i) < perm(i + 1)) == (swapped(i) > swapped(i + 1))
 
     def test_rejects_non_bijections(self):
-        with pytest.raises(ValueError):
-            Permutation((1, 1))
-        with pytest.raises(ValueError):
-            Permutation((0, 1))
+        for images in [(1, 1), (0, 1), (), (2,), (2, 2, 1)]:
+            with pytest.raises(ValueError):
+                Permutation(images)
 
     def test_inverse(self):
         perm = Permutation((2, 3, 1))
-        assert perm.inverse() == Permutation((3, 1, 2))
+        assert inverse(perm) == Permutation((3, 1, 2))
+
+    @given(permutations())
+    def test_equal_images_give_equal_hashes(self, perm):
+        twin = Permutation(tuple(perm.images))
+        assert twin == perm and twin is not perm
+        assert hash(twin) == hash(perm)
+        assert {perm: 1}[twin] == 1
+        if perm.size > 1:
+            swapped = perm.precompose_swap(1)
+            assert swapped != perm
+            assert hash(swapped) == hash(Permutation(swapped.images))
+
+    def test_is_immutable(self):
+        perm = Permutation((2, 1))
+        with pytest.raises(AttributeError):
+            perm.images = (1, 2)
+        with pytest.raises(AttributeError):
+            del perm.images
+        assert perm == T2
 
     def test_str(self):
         assert str(T2) == "[2 1]"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from daha import (
@@ -51,6 +53,28 @@ class TestSymmetrize:
     def test_linear(self):
         f = LaurentPoly.monomial(2, (1, 0), s_power(2)) + LaurentPoly.one(2)
         assert symmetrize(f) == sym_pair((1, 0)).scale(s_power(2)) + sym_pair((0, 0))
+
+    def test_matches_validating_constructor(self):
+        # symmetrize builds its canonical result directly; the validating
+        # constructor on the same pairs must give the same element.
+        rng = random.Random(2024)
+        coeffs = [ScalarPoly.one(), s_power(-2), ScalarPoly({(1, 0, 0): 1, (-1, 0, 0): -1}),
+                  ScalarPoly({(0, 2, 0): -3}), ScalarPoly.integer(5)]
+        for kappa in (2, 3):
+            for _ in range(40):
+                f = LaurentPoly(kappa, [
+                    (tuple(rng.randint(-3, 3) for _ in range(kappa)), rng.choice(coeffs))
+                    for _ in range(rng.randint(0, 5))
+                ])
+                expected = SkeinElement(kappa, [
+                    ((exps, perm), coeff)
+                    for exps, coeff in f.terms.items()
+                    for perm in all_permutations(kappa)
+                ])
+                got = symmetrize(f)
+                assert got == expected
+                assert str(got) == str(expected)
+                assert got.term_count() == f.term_count() * len(list(all_permutations(kappa)))
 
     def test_rejects_d_coefficients(self):
         f = LaurentPoly.one(2).scale(d_power(1))
