@@ -1,0 +1,100 @@
+"""Golden-output gate: fixed ``daha`` commands must print byte for byte what
+is stored under ``tests/golden``.
+
+Each case stores three files: ``<name>.stdout``, ``<name>.stderr`` and
+``<name>.exit`` (the exit code).  A change to canonical printed forms, to
+the order of checks, to parse-error messages or to exit codes shows up here
+as a diff.  To regenerate the files after a deliberate output change, run
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from daha.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SKEIN_K3 = "2*(a1*a2^-1,[2 1 3]) - d*(a3^2,[1 3 2]) + (s + c^-1)*(1,[3 2 1])"
+
+CASES = {
+    "check_all_k2_seed7_json": [
+        "check", "--suite", "all", "--kappa", "2", "--seed", "7", "--format", "json-lines",
+    ],
+    "check_all_k3_seed42": [
+        "check", "--suite", "all", "--kappa", "3", "--seed", "42", "--num-words", "10",
+        "--max-word-len", "3", "--max-inputs", "40",
+    ],
+    "check_relations_k4_seed3": [
+        "check", "--suite", "relations", "--kappa", "4", "--max-exp", "1", "--max-inputs", "20",
+        "--seed", "3",
+    ],
+    "eval_skein_k3": [
+        "eval", "--rep", "skein", "--kappa", "3", "--word", "s1*y1*s2^-1*x3", "--elem", SKEIN_K3,
+    ],
+    "eval_skein_k3_d_eq_s": [
+        "eval", "--rep", "skein", "--kappa", "3", "--word", "s1*y1*s2^-1*x3", "--elem", SKEIN_K3,
+        "--d-eq-s",
+    ],
+    "eval_poly_k3": [
+        "eval", "--rep", "poly", "--kappa", "3", "--word", "y2*s1^-1*x1^-1*y1^-1",
+        "--elem", "s*X1^2*X2^-1 - (c + s^-1)*X3 + 3",
+    ],
+    "eval_poly_k2_parenthesized": [
+        "eval", "--rep", "poly", "--kappa", "2", "--word", "x2^-1*s1^2",
+        "--elem", "-(s - s^-1)*X1^-1*X2 + c^2",
+    ],
+    "eval_skein_k3_y3": [
+        "eval", "--rep", "skein", "--kappa", "3", "--word", "y3^-1*x2", "--elem", "(a2,[3 1 2])",
+    ],
+    "eval_skein_k2_zero_term": [
+        "eval", "--rep", "skein", "--kappa", "2", "--word", "",
+        "--elem", "0*(a1,[1 2]) + 3*s^-2*(1,[2 1]) - (a1*a2, [1, 2])",
+    ],
+    "error_skein_bad_permutation": [
+        "eval", "--rep", "skein", "--kappa", "2", "--word", "", "--elem", "(a1,[1 1])",
+    ],
+    "error_poly_bad_factor": [
+        "eval", "--rep", "poly", "--kappa", "3", "--word", "s1", "--elem", "X1 + * X2",
+    ],
+    "error_word_index": [
+        "eval", "--rep", "poly", "--kappa", "3", "--word", "x4", "--elem", "1",
+    ],
+}
+
+
+def _expected(name: str) -> tuple[str, str, int]:
+    return (
+        (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8"),
+        (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8"),
+        int((GOLDEN / f"{name}.exit").read_text(encoding="utf-8")),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, capsys):
+    code = main(list(CASES[name]))
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, code) == _expected(name)
+
+
+def _regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        (GOLDEN / f"{name}.stdout").write_text(out.getvalue(), encoding="utf-8")
+        (GOLDEN / f"{name}.stderr").write_text(err.getvalue(), encoding="utf-8")
+        (GOLDEN / f"{name}.exit").write_text(f"{code}\n", encoding="utf-8")
+        print(f"{name}: exit {code}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _regenerate()
