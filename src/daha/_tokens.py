@@ -10,6 +10,7 @@ Whitespace separates tokens and is otherwise ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ParseError
 
@@ -109,3 +110,20 @@ def parse_signed_int(ts: TokenStream, what: str = "integer") -> int:
         pass
     tok = ts.expect("int", what)
     return sign * int(tok.text)
+
+
+def parse_signed_sum(ts: TokenStream, parse_term: Callable[[TokenStream, int], object]) -> list:
+    """Parse ``[-] term (+|- term)*`` and return the terms in order.
+
+    ``parse_term(ts, sign)`` reads one term and receives its sign, +1 or -1.
+    Parsing stops before the first token that is neither ``+`` nor ``-``;
+    the caller decides whether that token may follow the sum.
+    """
+    terms = [parse_term(ts, -1 if ts.accept("-") else 1)]
+    while True:
+        if ts.accept("+"):
+            terms.append(parse_term(ts, 1))
+        elif ts.accept("-"):
+            terms.append(parse_term(ts, -1))
+        else:
+            return terms

@@ -4,6 +4,12 @@ These are the carriers of the standard polynomial representation: elements of
 ``Z[s^±1, c^±1, d^±1][X_1^±1, ..., X_kappa^±1]`` stored as maps from integer
 exponent vectors to nonzero :class:`~daha.scalars.ScalarPoly` coefficients.
 
+:class:`LaurentPoly` and the skein module's
+:class:`~daha.skein.SkeinElement` both subclass :class:`SparseCombination`:
+the storage, validating constructor, module operations, equality and printer
+live once, in that base class, and :func:`accumulate` is the one
+accumulate-and-prune loop of both.
+
 Besides ring arithmetic the module provides the three operators that the
 representation is built from:
 
@@ -29,63 +35,196 @@ merging or cancelling.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, index
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._tokens import TokenStream, parse_signed_int
+from ._tokens import TokenStream, parse_signed_int, parse_signed_sum
 from .errors import NonDivisibleError, ParseError, RankMismatchError
-from .scalars import ScalarPoly, _format_term, hbar, parse_scalar_sum
+from .scalars import (
+    ScalarPoly, _format_scalar_term, c_power, hbar, join_signed, parse_scalar_factor,
+    parse_scalar_sum,
+)
 
 ExponentVector = tuple[int, ...]
 
 
-def _check_rank(a: "LaurentPoly", b: "LaurentPoly") -> None:
-    if a.rank != b.rank:
-        raise RankMismatchError(f"rank mismatch: {a.rank} vs {b.rank}")
+def accumulate(data: dict, items: Iterable[tuple], coeff: ScalarPoly | None = None) -> None:
+    """Add the (key, value) pairs of items, each times coeff if given, into
+    data in place, dropping every key whose total is zero."""
+    for key, value in items:
+        if coeff is not None:
+            value = value * coeff
+        total = data.get(key)
+        total = value if total is None else total + value
+        if total.is_zero():
+            data.pop(key, None)
+        else:
+            data[key] = total
 
 
-class LaurentPoly:
-    """An element of the Laurent ring in ``rank`` variables, canonical form."""
+class SparseCombination:
+    """A finite combination of keys with nonzero :class:`ScalarPoly`
+    coefficients, in canonical form, with a rank fixed at construction.
+
+    The shared storage, arithmetic, equality and printing of
+    :class:`LaurentPoly` and :class:`~daha.skein.SkeinElement`.  A subclass
+    names its rank (``_RANK``) and supplies ``_check_key(rank, key)``
+    (validate and normalise a key), ``_sort_key`` (print order, largest first) and
+    ``_format_key`` (the text of a key, empty for the unit).  Binary operations
+    refuse operands of another class or rank; there is no broadcasting.
+    """
 
     __slots__ = ("_rank", "_terms")
+    _RANK = "rank"
+    _sort_key = None
 
-    def __init__(
-        self,
-        rank: int,
-        terms: Mapping[ExponentVector, ScalarPoly] | Iterable[tuple[ExponentVector, ScalarPoly]] = (),
-    ):
+    def __init__(self, rank: int, terms: Mapping | Iterable[tuple] = ()):
         if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+            raise ValueError(f"{self._RANK} must be >= 1, got {rank}")
         self._rank = rank
+        self._terms = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[ExponentVector, ScalarPoly] = {}
-        for exps, coeff in items:
-            key = tuple(int(e) for e in exps)
-            if len(key) != rank:
-                raise ValueError(f"exponent vector {key} has length {len(key)}, expected {rank}")
-            if isinstance(coeff, int):
-                coeff = ScalarPoly.integer(coeff)
-            total = data.get(key)
-            total = coeff if total is None else total + coeff
-            if total.is_zero():
-                data.pop(key, None)
-            else:
-                data[key] = total
-        self._terms = data
+        accumulate(self._terms, (
+            (self._check_key(rank, key), c if isinstance(c, ScalarPoly) else ScalarPoly.integer(c))
+            for key, c in items
+        ))
 
     @classmethod
-    def _raw(cls, rank: int, data: dict[ExponentVector, ScalarPoly]) -> "LaurentPoly":
+    def _raw(cls, rank: int, data: dict):
+        """Wrap a dict already known to be canonical (internal fast path)."""
         obj = object.__new__(cls)
         obj._rank = rank
         obj._terms = data
         return obj
 
-    # -- constructors --------------------------------------------------------
-
     @classmethod
-    def zero(cls, rank: int) -> "LaurentPoly":
+    def zero(cls, rank: int):
         return cls(rank)
+
+    # -- inspection ----------------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping:
+        return MappingProxyType(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def term_count(self) -> int:
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    # -- module operations ---------------------------------------------------
+    #
+    # Subclasses bind their operators to these bodies with one-line methods
+    # of their own, so that each class keeps its own operator functions.
+
+    def _check_rank(self, other: "SparseCombination") -> None:
+        if self._rank != other._rank:
+            raise RankMismatchError(f"{self._RANK} mismatch: {self._rank} vs {other._rank}")
+
+    def _add(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_rank(other)
+        if not self._terms:
+            return other
+        if not other._terms:
+            return self
+        data = dict(self._terms)
+        accumulate(data, other._terms.items())
+        return self._raw(self._rank, data)
+
+    def _neg(self):
+        return self._raw(self._rank, {key: -coeff for key, coeff in self._terms.items()})
+
+    def _sub(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def _scale(self, coeff: ScalarPoly | int):
+        if isinstance(coeff, int):
+            coeff = ScalarPoly.integer(coeff)
+        if coeff.is_zero():
+            return self._raw(self._rank, {})
+        if coeff.is_one():
+            return self
+        # Nonzero times nonzero is nonzero in the integral domain of scalars.
+        # Runs of one coefficient object (as in exact_divide's quotients) are
+        # multiplied once.
+        data = {}
+        last = new = None
+        for key, old in self._terms.items():
+            if old is not last:
+                last, new = old, old * coeff
+            data[key] = new
+        return self._raw(self._rank, data)
+
+    def _substitute_d_eq_s(self):
+        data = {}
+        for key, coeff in self._terms.items():
+            new = coeff.substitute_d_eq_s()
+            if not new.is_zero():
+                data[key] = new
+        return self._raw(self._rank, data)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._rank == other._rank and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self._rank, frozenset(self._terms.items())))
+
+    # -- printing --------------------------------------------------------------
+
+    def __str__(self) -> str:
+        sole_term = len(self._terms) == 1
+        return join_signed(
+            self._format_term(self._terms[key], self._format_key(key), sole_term)
+            for key in sorted(self._terms, key=self._sort_key, reverse=True)
+        )
+
+    @staticmethod
+    def _format_term(coeff: ScalarPoly, body: str, sole_term: bool) -> tuple[int, str]:
+        """Return (sign, unsigned rendering) of the term coeff * body."""
+        if len(coeff.terms) == 1:
+            ((triple, n),) = coeff.terms.items()
+            sign, scalar_body = _format_scalar_term(n, triple)
+            if not body:
+                return sign, scalar_body
+            return sign, body if scalar_body == "1" else f"{scalar_body}*{body}"
+        # Multi-term coefficient: parenthesize, except for a lone constant term
+        # where the bare scalar form round-trips unambiguously.
+        if not body:
+            return 1, str(coeff) if sole_term else f"({coeff})"
+        return 1, f"({coeff})*{body}"
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self._RANK}={self._rank} {self}>"
+
+
+class LaurentPoly(SparseCombination):
+    """An element of the Laurent ring in ``rank`` variables, canonical form."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_key(rank: int, exps: Iterable[int]) -> ExponentVector:
+        key = tuple(map(index, exps))
+        if len(key) != rank:
+            raise ValueError(f"exponent vector {key} has length {len(key)}, expected {rank}")
+        return key
+
+    @staticmethod
+    def _format_key(exps: ExponentVector) -> str:
+        return _monomial_string(exps, "X")
+
+    # -- constructors --------------------------------------------------------
 
     @classmethod
     def one(cls, rank: int) -> "LaurentPoly":
@@ -93,14 +232,10 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, rank: int, exps: Iterable[int], coeff: ScalarPoly | int = 1) -> "LaurentPoly":
-        if isinstance(coeff, int):
+        key = cls._check_key(rank, exps)
+        if not isinstance(coeff, ScalarPoly):
             coeff = ScalarPoly.integer(coeff)
-        key = tuple(int(e) for e in exps)
-        if len(key) != rank:
-            raise ValueError(f"exponent vector {key} has length {len(key)}, expected {rank}")
-        if coeff.is_zero():
-            return cls._raw(rank, {})
-        return cls._raw(rank, {key: coeff})
+        return cls._raw(rank, {key: coeff} if coeff else {})
 
     @classmethod
     def variable(cls, rank: int, i: int, exp: int = 1) -> "LaurentPoly":
@@ -117,56 +252,26 @@ class LaurentPoly:
     def rank(self) -> int:
         return self._rank
 
-    @property
-    def terms(self) -> Mapping[ExponentVector, ScalarPoly]:
-        return MappingProxyType(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def term_count(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def coefficients_have_d(self) -> bool:
         return any(coeff.has_d() for coeff in self._terms.values())
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        _check_rank(self, other)
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        data = dict(self._terms)
-        for key, coeff in other._terms.items():
-            total = data.get(key)
-            total = coeff if total is None else total + coeff
-            if total.is_zero():
-                del data[key]
-            else:
-                data[key] = total
-        return LaurentPoly._raw(self._rank, data)
+        return self._add(other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self._rank, {key: -coeff for key, coeff in self._terms.items()})
+        return self._neg()
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._sub(other)
 
     def __mul__(self, other: "LaurentPoly | ScalarPoly | int") -> "LaurentPoly":
         if isinstance(other, (ScalarPoly, int)):
             return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        _check_rank(self, other)
+        self._check_rank(other)
         if len(other._terms) == 1:
             poly, unit = self, other
         elif len(self._terms) == 1:
@@ -174,15 +279,9 @@ class LaurentPoly:
         else:
             data: dict[ExponentVector, ScalarPoly] = {}
             for a_key, a_coeff in self._terms.items():
-                for b_key, b_coeff in other._terms.items():
-                    key = tuple(a + b for a, b in zip(a_key, b_key))
-                    prod = a_coeff * b_coeff
-                    total = data.get(key)
-                    total = prod if total is None else total + prod
-                    if total.is_zero():
-                        data.pop(key, None)
-                    else:
-                        data[key] = total
+                accumulate(data, (
+                    (tuple(map(add, a_key, b_key)), b_coeff) for b_key, b_coeff in other._terms.items()
+                ), a_coeff)
             return LaurentPoly._raw(self._rank, data)
         # One-term factor: an injective key shift, and coefficient products
         # that cannot vanish over an integral domain, so nothing merges or
@@ -199,56 +298,11 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, coeff: ScalarPoly | int) -> "LaurentPoly":
-        if isinstance(coeff, int):
-            coeff = ScalarPoly.integer(coeff)
-        if coeff.is_zero():
-            return LaurentPoly._raw(self._rank, {})
-        if coeff.is_one():
-            return self
-        # Nonzero times nonzero is nonzero in the integral domain of scalars.
-        # Runs of one coefficient object (as in exact_divide's quotients) are
-        # multiplied once.
-        data: dict[ExponentVector, ScalarPoly] = {}
-        last = new = None
-        for key, old in self._terms.items():
-            if old is not last:
-                last, new = old, old * coeff
-            data[key] = new
-        return LaurentPoly._raw(self._rank, data)
+        return self._scale(coeff)
 
     def substitute_d_eq_s(self) -> "LaurentPoly":
         """Set d = s in every coefficient (cancellations are pruned)."""
-        data: dict[ExponentVector, ScalarPoly] = {}
-        for key, coeff in self._terms.items():
-            new = coeff.substitute_d_eq_s()
-            if not new.is_zero():
-                data[key] = new
-        return LaurentPoly._raw(self._rank, data)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._rank == other._rank and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self._rank, frozenset(self._terms.items())))
-
-    # -- printing --------------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for exps in sorted(self._terms, reverse=True):
-            sign, body = _format_laurent_term(self._terms[exps], exps, len(self._terms) == 1)
-            if not pieces:
-                pieces.append(f"-{body}" if sign < 0 else body)
-            else:
-                pieces.append(f"{'-' if sign < 0 else '+'} {body}")
-        return " ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"<LaurentPoly rank={self._rank} {self}>"
+        return self._substitute_d_eq_s()
 
 
 def _monomial_string(exps: ExponentVector, letter: str) -> str:
@@ -259,26 +313,6 @@ def _monomial_string(exps: ExponentVector, letter: str) -> str:
         elif e != 0:
             parts.append(f"{letter}{i}^{e}")
     return "*".join(parts)
-
-
-def _format_laurent_term(
-    coeff: ScalarPoly, exps: ExponentVector, sole_term: bool, letter: str = "X"
-) -> tuple[int, str]:
-    """Return (sign, unsigned rendering) of one Laurent term."""
-    mono = _monomial_string(exps, letter)
-    if len(coeff.terms) == 1:
-        ((triple, n),) = coeff.terms.items()
-        sign, scalar_body = _format_term(n, triple)
-        if not mono:
-            return sign, scalar_body
-        if scalar_body == "1":
-            return sign, mono
-        return sign, f"{scalar_body}*{mono}"
-    # Multi-term coefficient: parenthesize, except for a lone constant term
-    # where the bare scalar form round-trips unambiguously.
-    if not mono:
-        return 1, str(coeff) if sole_term else f"({coeff})"
-    return 1, f"({coeff})*{mono}"
 
 
 # -- variable operators --------------------------------------------------------
@@ -300,6 +334,10 @@ def swap_variables(f: LaurentPoly, i: int) -> LaurentPoly:
     return LaurentPoly._raw(f.rank, data)
 
 
+# A cyclic shift of the exponent vectors is a bijection and c-powers are
+# units, so the two rotations below can neither merge nor cancel terms.
+
+
 def rotate_variables(f: LaurentPoly) -> LaurentPoly:
     """Apply the twisted cyclic substitution f(X_1, ..., X_k) ->
     f(c^2 X_k, X_1, ..., X_{k-1}).
@@ -307,37 +345,17 @@ def rotate_variables(f: LaurentPoly) -> LaurentPoly:
     On a monomial with exponent vector (n_1, ..., n_k) this produces
     c^(2 n_1) X_k^(n_1) X_1^(n_2) ... X_{k-1}^(n_k).
     """
-    from .scalars import c_power
-
-    data: dict[ExponentVector, ScalarPoly] = {}
-    for key, coeff in f.terms.items():
-        new_key = key[1:] + key[:1]
-        new_coeff = coeff * c_power(2 * key[0])
-        prev = data.get(new_key)
-        new_coeff = new_coeff if prev is None else prev + new_coeff
-        if new_coeff.is_zero():
-            data.pop(new_key, None)
-        else:
-            data[new_key] = new_coeff
-    return LaurentPoly._raw(f.rank, data)
+    return LaurentPoly._raw(f.rank, {
+        key[1:] + key[:1]: coeff * c_power(2 * key[0]) for key, coeff in f.terms.items()
+    })
 
 
 def rotate_variables_inverse(f: LaurentPoly) -> LaurentPoly:
     """Inverse of :func:`rotate_variables`; validated by the round trip
     rotate_variables_inverse(rotate_variables(f)) == f."""
-    from .scalars import c_power
-
-    data: dict[ExponentVector, ScalarPoly] = {}
-    for key, coeff in f.terms.items():
-        new_key = key[-1:] + key[:-1]
-        new_coeff = coeff * c_power(-2 * key[-1])
-        prev = data.get(new_key)
-        new_coeff = new_coeff if prev is None else prev + new_coeff
-        if new_coeff.is_zero():
-            data.pop(new_key, None)
-        else:
-            data[new_key] = new_coeff
-    return LaurentPoly._raw(f.rank, data)
+    return LaurentPoly._raw(f.rank, {
+        key[-1:] + key[:-1]: coeff * c_power(-2 * key[-1]) for key, coeff in f.terms.items()
+    })
 
 
 def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
@@ -420,34 +438,20 @@ def braid_kernel(f: LaurentPoly, i: int) -> tuple[LaurentPoly, LaurentPoly]:
 def parse_laurent(text: str, rank: int) -> LaurentPoly:
     """Parse e.g. ``s*X1^2*X2^-1 + c^2*X2`` or ``(s + s^-1)*X1`` or ``0``."""
     ts = TokenStream(text)
-    poly = LaurentPoly.zero(rank)
-    sign = -1 if ts.accept("-") else 1
-    poly = poly + _parse_laurent_term(ts, rank, sign)
-    while True:
-        if ts.accept("+"):
-            poly = poly + _parse_laurent_term(ts, rank, 1)
-        elif ts.accept("-"):
-            poly = poly + _parse_laurent_term(ts, rank, -1)
-        elif ts.at_end():
-            return poly
-        else:
-            ts.fail(f"unexpected {ts.peek().text!r} in polynomial")
+    terms = parse_signed_sum(ts, lambda ts, sign: _parse_laurent_term(ts, rank, sign))
+    if not ts.at_end():
+        ts.fail(f"unexpected {ts.peek().text!r} in polynomial")
+    return LaurentPoly(rank, terms)
 
 
-def _parse_laurent_term(ts: TokenStream, rank: int, sign: int) -> LaurentPoly:
+def _parse_laurent_term(ts: TokenStream, rank: int, sign: int) -> tuple[ExponentVector, ScalarPoly]:
     coeff = ScalarPoly.integer(sign)
     exps = [0] * rank
     while True:
         tok = ts.peek()
-        if tok.kind == "int":
-            ts.advance()
-            coeff = coeff * ScalarPoly.integer(int(tok.text))
-        elif tok.kind == "name" and tok.letter in ("s", "c", "d") and tok.index is None:
-            ts.advance()
-            exp = parse_signed_int(ts, "exponent") if ts.accept("^") else 1
-            triple = [0, 0, 0]
-            triple[("s", "c", "d").index(tok.letter)] = exp
-            coeff = coeff * ScalarPoly.monomial(*triple)
+        factor = parse_scalar_factor(ts)
+        if factor is not None:
+            coeff = coeff * factor
         elif tok.kind == "name" and tok.letter == "X":
             if tok.index is None:
                 ts.fail("variable X requires an index, e.g. X1")
@@ -465,4 +469,4 @@ def _parse_laurent_term(ts: TokenStream, rank: int, sign: int) -> LaurentPoly:
                 f"expected a polynomial factor, found {tok.text or 'end of input'!r}", tok.pos
             )
         if not ts.accept("*"):
-            return LaurentPoly.monomial(rank, exps, coeff)
+            return tuple(exps), coeff

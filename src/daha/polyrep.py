@@ -15,9 +15,11 @@ The generators act on ``Z[s^±1, c^±1][X_1^±1, ..., X_k^±1]`` by
   is the exact inverse chain s_1, ..., s_{k-1}, then the inverse rotation.
 
 Words act letter by letter, rightmost letter first, so that word
-concatenation matches operator composition for a left action.  Letters
-``x_i``/``y_i`` with i > 1 act through their expansions into the generating
-set.  All operations are pure and inputs are never mutated.
+concatenation matches operator composition for a left action; the dispatcher
+is :func:`~daha.words.apply_word`, shared with the skein module.  ``x_i``
+multiplies by X_i directly, and ``y_i`` with i > 1 acts through its expansion
+into the generating set.  All operations are pure and inputs are never
+mutated.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from .errors import RankMismatchError
 from .laurent import LaurentPoly, braid_kernel, rotate_variables, rotate_variables_inverse
 from .scalars import hbar, s_power
-from .words import GeneratorWord, expand_y
+from .words import GeneratorWord, apply_word
 
 
 def act_x(i: int, f: LaurentPoly, exp: int = 1) -> LaurentPoly:
@@ -66,18 +68,7 @@ def act_y1_inv(f: LaurentPoly) -> LaurentPoly:
 
 
 def act_word(word: GeneratorWord, f: LaurentPoly) -> LaurentPoly:
-    """Act by a generator word, rightmost letter first."""
+    """Act by a generator word, rightmost letter first (:func:`~daha.words.apply_word`)."""
     if word.kappa != f.rank:
         raise RankMismatchError(f"word kappa {word.kappa} does not match rank {f.rank}")
-    for letter in reversed(word.letters):
-        kind, i, sign = letter.kind, letter.index, letter.sign
-        if kind == "x":
-            f = act_x(i, f, sign)
-        elif kind == "s":
-            f = act_sigma(i, f) if sign > 0 else act_sigma_inv(i, f)
-        elif i == 1:
-            f = act_y1(f) if sign > 0 else act_y1_inv(f)
-        else:
-            expansion = expand_y(i, word.kappa)
-            f = act_word(expansion if sign > 0 else expansion.inverse(), f)
-    return f
+    return apply_word(word, f, (act_x, act_sigma, act_sigma_inv, act_y1, act_y1_inv))

@@ -23,10 +23,11 @@ accumulate-and-prune loop that general products need.
 
 from __future__ import annotations
 
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._tokens import TokenStream, parse_signed_int
+from ._tokens import TokenStream, parse_signed_int, parse_signed_sum
 from .errors import ParseError
 
 ExponentTriple = tuple[int, int, int]
@@ -48,8 +49,8 @@ class ScalarPoly:
         for exps, coeff in items:
             if len(exps) != 3:
                 raise ValueError(f"exponent triple expected, got {exps!r}")
-            key = (int(exps[0]), int(exps[1]), int(exps[2]))
-            total = data.get(key, 0) + int(coeff)
+            key = (index(exps[0]), index(exps[1]), index(exps[2]))
+            total = data.get(key, 0) + index(coeff)
             if total:
                 data[key] = total
             else:
@@ -75,11 +76,13 @@ class ScalarPoly:
 
     @classmethod
     def integer(cls, n: int) -> "ScalarPoly":
+        n = index(n)
         return cls._raw({(0, 0, 0): n}) if n else _ZERO
 
     @classmethod
     def monomial(cls, e_s: int = 0, e_c: int = 0, e_d: int = 0, coeff: int = 1) -> "ScalarPoly":
-        return cls._raw({(e_s, e_c, e_d): coeff}) if coeff else _ZERO
+        coeff = index(coeff)
+        return cls._raw({(index(e_s), index(e_c), index(e_d)): coeff}) if coeff else _ZERO
 
     # -- inspection --------------------------------------------------------
 
@@ -208,16 +211,9 @@ class ScalarPoly:
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for key in sorted(self._terms, reverse=True):
-            sign, body = _format_term(self._terms[key], key)
-            if not pieces:
-                pieces.append(f"-{body}" if sign < 0 else body)
-            else:
-                pieces.append(f"{'-' if sign < 0 else '+'} {body}")
-        return " ".join(pieces)
+        return join_signed(
+            _format_scalar_term(self._terms[key], key) for key in sorted(self._terms, reverse=True)
+        )
 
     def __repr__(self) -> str:
         return f"<ScalarPoly {self}>"
@@ -245,7 +241,7 @@ def hbar() -> ScalarPoly:
     return _HBAR
 
 
-def _format_term(coeff: int, exps: ExponentTriple) -> tuple[int, str]:
+def _format_scalar_term(coeff: int, exps: ExponentTriple) -> tuple[int, str]:
     """Return (sign, unsigned rendering) of one term, e.g. (-1, "2*s^2*c")."""
     parts = []
     for name, e in zip(_VAR_NAMES, exps):
@@ -263,6 +259,20 @@ def _format_term(coeff: int, exps: ExponentTriple) -> tuple[int, str]:
     return (1 if coeff > 0 else -1, body)
 
 
+def join_signed(terms: Iterable[tuple[int, str]]) -> str:
+    """Join (sign, unsigned rendering) pairs as ``a - b + c``; no terms give ``0``.
+
+    The one printer of every sparse form in the package.
+    """
+    pieces: list[str] = []
+    for sign, body in terms:
+        if pieces:
+            pieces.append(f"{'-' if sign < 0 else '+'} {body}")
+        else:
+            pieces.append(f"-{body}" if sign < 0 else body)
+    return " ".join(pieces) if pieces else "0"
+
+
 def parse_scalar(text: str) -> ScalarPoly:
     """Parse the textual form, e.g. ``s^2 - 2 + s^-2`` or ``-3*c^2*d``.
 
@@ -278,15 +288,8 @@ def parse_scalar(text: str) -> ScalarPoly:
 def parse_scalar_sum(ts: TokenStream) -> ScalarPoly:
     """Parse a sum of scalar terms from the stream (used standalone and as a
     sub-parser inside parenthesized coefficients)."""
-    sign = -1 if ts.accept("-") else 1
-    poly = _parse_term(ts, sign)
-    while True:
-        if ts.accept("+"):
-            poly = poly + _parse_term(ts, 1)
-        elif ts.accept("-"):
-            poly = poly + _parse_term(ts, -1)
-        else:
-            return poly
+    terms = parse_signed_sum(ts, _parse_term)
+    return ScalarPoly(item for term in terms for item in term._terms.items())
 
 
 def _parse_term(ts: TokenStream, sign: int) -> ScalarPoly:
@@ -296,17 +299,28 @@ def _parse_term(ts: TokenStream, sign: int) -> ScalarPoly:
     return poly
 
 
-def _parse_factor(ts: TokenStream) -> ScalarPoly:
+def parse_scalar_factor(ts: TokenStream) -> ScalarPoly | None:
+    """Parse one scalar factor, an integer or ``s``, ``c``, ``d`` with an
+    optional ``^exponent``; return None, consuming nothing, when the next
+    token starts neither.  The Laurent and skein term parsers share it."""
     tok = ts.peek()
     if tok.kind == "int":
         ts.advance()
         return ScalarPoly.integer(int(tok.text))
-    if tok.kind == "name":
-        if tok.letter not in _VAR_NAMES or tok.index is not None:
-            ts.fail(f"expected one of s, c, d, found {tok.text!r}")
+    if tok.kind == "name" and tok.letter in _VAR_NAMES and tok.index is None:
         ts.advance()
         exp = parse_signed_int(ts, "exponent") if ts.accept("^") else 1
         triple = [0, 0, 0]
         triple[_VAR_NAMES.index(tok.letter)] = exp
         return ScalarPoly.monomial(*triple)
+    return None
+
+
+def _parse_factor(ts: TokenStream) -> ScalarPoly:
+    factor = parse_scalar_factor(ts)
+    if factor is not None:
+        return factor
+    tok = ts.peek()
+    if tok.kind == "name":
+        ts.fail(f"expected one of s, c, d, found {tok.text!r}")
     raise ParseError(f"expected a scalar factor, found {tok.text or 'end of input'!r}", tok.pos)

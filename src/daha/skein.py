@@ -48,20 +48,25 @@ Generator actions (all pure functions; inputs never mutated):
 
 * ``s_i^-1 = s_i - hbar`` and ``y_1^-1`` are exact operator inverses,
   validated by round-trip tests rather than separate closed forms.
+
+:class:`SkeinElement` is a :class:`~daha.laurent.SparseCombination` keyed by
+basis pairs, sharing storage, arithmetic and printing with the Laurent
+polynomials, and :func:`act_word` runs the shared word dispatcher
+:func:`~daha.words.apply_word` over this module's generator actions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add, index
+from typing import Iterable, Iterator, Sequence
 
-from ._tokens import TokenStream, parse_signed_int
+from ._tokens import TokenStream, parse_signed_int, parse_signed_sum
 from .errors import ParseError, RankMismatchError
-from .laurent import LaurentPoly, _format_laurent_term, _monomial_string, braid_kernel
-from .scalars import ScalarPoly, c_power, d_power, hbar, parse_scalar_sum
-from .words import GeneratorWord, expand_y
+from .laurent import LaurentPoly, SparseCombination, _monomial_string, accumulate, braid_kernel
+from .scalars import ScalarPoly, c_power, d_power, hbar, parse_scalar_factor, parse_scalar_sum
+from .words import GeneratorWord, apply_word
 
 ExponentVector = tuple[int, ...]
 
@@ -78,10 +83,12 @@ class Permutation:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kappa = len(self.images)
-        if kappa < 1 or sorted(self.images) != list(range(1, kappa + 1)):
+        images = tuple(map(index, self.images))
+        kappa = len(images)
+        if kappa < 1 or sorted(images) != list(range(1, kappa + 1)):
             raise ValueError(f"{self.images} is not a permutation of 1..{kappa}")
-        object.__setattr__(self, "_hash", hash(self.images))
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_hash", hash(images))
 
     @classmethod
     def _raw(cls, images: tuple[int, ...]) -> "Permutation":
@@ -131,45 +138,27 @@ def all_permutations(kappa: int) -> Iterator[Permutation]:
 BasisKey = tuple[ExponentVector, Permutation]
 
 
-class SkeinElement:
+class SkeinElement(SparseCombination):
     """A finite combination of basis pairs (a-monomial, permutation)."""
 
-    __slots__ = ("_kappa", "_terms")
+    __slots__ = ()
+    _RANK = "kappa"
 
-    def __init__(
-        self,
-        kappa: int,
-        terms: Mapping[BasisKey, ScalarPoly] | Iterable[tuple[BasisKey, ScalarPoly]] = (),
-    ):
-        if kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {kappa}")
-        self._kappa = kappa
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[BasisKey, ScalarPoly] = {}
-        for (exps, perm), coeff in items:
-            key = (tuple(int(e) for e in exps), perm)
-            if len(key[0]) != kappa or perm.size != kappa:
-                raise ValueError(f"basis pair {key} does not match kappa={kappa}")
-            if isinstance(coeff, int):
-                coeff = ScalarPoly.integer(coeff)
-            total = data.get(key)
-            total = coeff if total is None else total + coeff
-            if total.is_zero():
-                data.pop(key, None)
-            else:
-                data[key] = total
-        self._terms = data
+    @staticmethod
+    def _check_key(kappa: int, key: BasisKey) -> BasisKey:
+        exps, perm = key
+        key = (tuple(map(index, exps)), perm)
+        if len(key[0]) != kappa or perm.size != kappa:
+            raise ValueError(f"basis pair {key} does not match kappa={kappa}")
+        return key
 
-    @classmethod
-    def _raw(cls, kappa: int, data: dict[BasisKey, ScalarPoly]) -> "SkeinElement":
-        obj = object.__new__(cls)
-        obj._kappa = kappa
-        obj._terms = data
-        return obj
+    @staticmethod
+    def _sort_key(key: BasisKey) -> tuple:
+        return key[0], key[1].images
 
-    @classmethod
-    def zero(cls, kappa: int) -> "SkeinElement":
-        return cls._raw(kappa, {})
+    @staticmethod
+    def _format_key(key: BasisKey) -> str:
+        return f"({_monomial_string(key[0], 'a') or '1'},{key[1]})"
 
     @classmethod
     def basis(
@@ -181,140 +170,49 @@ class SkeinElement:
     ) -> "SkeinElement":
         if perm is None:
             perm = Permutation.identity(kappa)
-        return cls(kappa, [((tuple(exps), perm), coeff)])
+        return cls(kappa, [((exps, perm), coeff)])
 
     @property
     def kappa(self) -> int:
-        return self._kappa
-
-    @property
-    def terms(self) -> Mapping[BasisKey, ScalarPoly]:
-        return MappingProxyType(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def term_count(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+        return self._rank
 
     def __add__(self, other: "SkeinElement") -> "SkeinElement":
-        if not isinstance(other, SkeinElement):
-            return NotImplemented
-        if self._kappa != other._kappa:
-            raise RankMismatchError(f"kappa mismatch: {self._kappa} vs {other._kappa}")
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        data = dict(self._terms)
-        _add_terms(data, other._terms)
-        return SkeinElement._raw(self._kappa, data)
+        return self._add(other)
 
     def __neg__(self) -> "SkeinElement":
-        return SkeinElement._raw(self._kappa, {k: -c for k, c in self._terms.items()})
+        return self._neg()
 
     def __sub__(self, other: "SkeinElement") -> "SkeinElement":
-        if not isinstance(other, SkeinElement):
-            return NotImplemented
-        return self + (-other)
+        return self._sub(other)
 
     def scale(self, coeff: ScalarPoly | int) -> "SkeinElement":
-        if isinstance(coeff, int):
-            coeff = ScalarPoly.integer(coeff)
-        if coeff.is_zero():
-            return SkeinElement._raw(self._kappa, {})
-        if coeff.is_one():
-            return self
-        data: dict[BasisKey, ScalarPoly] = {}
-        for key, old in self._terms.items():
-            new = old * coeff
-            if not new.is_zero():
-                data[key] = new
-        return SkeinElement._raw(self._kappa, data)
+        return self._scale(coeff)
 
     def shift_exponents(self, offset: Sequence[int], coeff: ScalarPoly | int = 1) -> "SkeinElement":
         """Multiply by the a-monomial with the given exponent offset."""
         if isinstance(coeff, int):
             coeff = ScalarPoly.integer(coeff)
-        data: dict[BasisKey, ScalarPoly] = {}
-        for (exps, perm), old in self._terms.items():
-            new = old * coeff
-            if not new.is_zero():
-                data[(tuple(e + o for e, o in zip(exps, offset)), perm)] = new
-        return SkeinElement._raw(self._kappa, data)
+        if coeff.is_zero():
+            return SkeinElement._raw(self._rank, {})
+        # A translation of the exponent vectors is injective and nonzero
+        # times nonzero is nonzero, so no terms merge or cancel.
+        return SkeinElement._raw(self._rank, {
+            (tuple(map(add, exps, offset)), perm): old * coeff
+            for (exps, perm), old in self._terms.items()
+        })
 
     def multiply_by_a_poly(self, poly: LaurentPoly) -> "SkeinElement":
         """Multiply by a Laurent polynomial in the a-variables."""
-        if poly.rank != self._kappa:
-            raise RankMismatchError(f"rank {poly.rank} does not match kappa {self._kappa}")
+        if poly.rank != self._rank:
+            raise RankMismatchError(f"rank {poly.rank} does not match kappa {self._rank}")
         data: dict[BasisKey, ScalarPoly] = {}
         for exps, coeff in poly.terms.items():
-            _add_terms(data, self.shift_exponents(exps, coeff)._terms)
-        return SkeinElement._raw(self._kappa, data)
+            accumulate(data, self.shift_exponents(exps, coeff)._terms.items())
+        return SkeinElement._raw(self._rank, data)
 
     def substitute_d_eq_s(self) -> "SkeinElement":
         """Set d = s in every coefficient (cancellations are pruned)."""
-        data: dict[BasisKey, ScalarPoly] = {}
-        for key, coeff in self._terms.items():
-            new = coeff.substitute_d_eq_s()
-            if not new.is_zero():
-                data[key] = new
-        return SkeinElement._raw(self._kappa, data)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SkeinElement):
-            return NotImplemented
-        return self._kappa == other._kappa and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self._kappa, frozenset(self._terms.items())))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for exps, perm in sorted(self._terms, key=lambda k: (k[0], k[1].images), reverse=True):
-            coeff = self._terms[(exps, perm)]
-            sign, body = _format_skein_term(coeff, exps, perm)
-            if not pieces:
-                pieces.append(f"-{body}" if sign < 0 else body)
-            else:
-                pieces.append(f"{'-' if sign < 0 else '+'} {body}")
-        return " ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"<SkeinElement kappa={self._kappa} {self}>"
-
-
-def _add_terms(
-    data: dict[BasisKey, ScalarPoly],
-    terms: Mapping[BasisKey, ScalarPoly],
-    coeff: ScalarPoly | None = None,
-) -> None:
-    """Add coeff * terms into data in place, pruning keys that cancel."""
-    for key, value in terms.items():
-        if coeff is not None:
-            value = value * coeff
-        total = data.get(key)
-        total = value if total is None else total + value
-        if total.is_zero():
-            data.pop(key, None)
-        else:
-            data[key] = total
-
-
-def _format_skein_term(coeff: ScalarPoly, exps: ExponentVector, perm: Permutation) -> tuple[int, str]:
-    mono = _monomial_string(exps, "a") or "1"
-    basis = f"({mono},{perm})"
-    if len(coeff.terms) == 1:
-        sign, scalar_body = _format_laurent_term(coeff, (), True)
-        if scalar_body == "1":
-            return sign, basis
-        return sign, f"{scalar_body}*{basis}"
-    return 1, f"({coeff})*{basis}"
+        return self._substitute_d_eq_s()
 
 
 # -- generator actions ---------------------------------------------------------
@@ -373,11 +271,11 @@ def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
         f, g = push_sigma_past_monomial(i, exps)
         braided: dict[BasisKey, ScalarPoly] = {}
         for perm, coeff in pairs:
-            _add_terms(braided, act_sigma_base(i, perm)._terms, coeff)
-        _add_terms(data, SkeinElement._raw(kappa, braided).multiply_by_a_poly(f)._terms)
+            accumulate(braided, act_sigma_base(i, perm)._terms.items(), coeff)
+        accumulate(data, SkeinElement._raw(kappa, braided).multiply_by_a_poly(f)._terms.items())
         if not g.is_zero():
             unbraided = SkeinElement._raw(kappa, {(zero_exps, perm): coeff for perm, coeff in pairs})
-            _add_terms(data, unbraided.multiply_by_a_poly(g)._terms)
+            accumulate(data, unbraided.multiply_by_a_poly(g)._terms.items())
     return SkeinElement._raw(kappa, data)
 
 
@@ -398,6 +296,11 @@ def _rotated_perm_inverse(perm: Permutation) -> Permutation:
     return perm
 
 
+# The exponent rotation and the permutation rotation are bijections and
+# c-powers are units, so the shifts in act_y1 and act_y1_inv can neither merge
+# nor cancel terms.
+
+
 def act_y1(v: SkeinElement) -> SkeinElement:
     """Apply y_1.
 
@@ -406,20 +309,11 @@ def act_y1(v: SkeinElement) -> SkeinElement:
     (swaps at positions 1, 2, ..., kappa-1 applied in that order), then act
     by the braid chain s_{kappa-1}^-1 first, s_1^-1 last.
     """
-    kappa = v.kappa
-    data: dict[BasisKey, ScalarPoly] = {}
-    for (exps, perm), coeff in v.terms.items():
-        shifted = exps[1:] + exps[:1]
-        new_coeff = coeff * c_power(2 * exps[0])
-        key = (shifted, _rotated_perm(perm))
-        prev = data.get(key)
-        new_coeff = new_coeff if prev is None else prev + new_coeff
-        if new_coeff.is_zero():
-            data.pop(key, None)
-        else:
-            data[key] = new_coeff
-    result = SkeinElement._raw(kappa, data)
-    for i in range(kappa - 1, 0, -1):
+    result = SkeinElement._raw(v.kappa, {
+        (exps[1:] + exps[:1], _rotated_perm(perm)): coeff * c_power(2 * exps[0])
+        for (exps, perm), coeff in v.terms.items()
+    })
+    for i in range(v.kappa - 1, 0, -1):
         result = act_sigma_inv(i, result)
     return result
 
@@ -427,39 +321,19 @@ def act_y1(v: SkeinElement) -> SkeinElement:
 def act_y1_inv(v: SkeinElement) -> SkeinElement:
     """Apply the exact inverse of y_1 (braid chain s_1 first, then the
     inverse shift); validated by round-trip tests."""
-    kappa = v.kappa
-    for i in range(1, kappa):
+    for i in range(1, v.kappa):
         v = act_sigma(i, v)
-    data: dict[BasisKey, ScalarPoly] = {}
-    for (exps, perm), coeff in v.terms.items():
-        shifted = exps[-1:] + exps[:-1]
-        new_coeff = coeff * c_power(-2 * exps[-1])
-        key = (shifted, _rotated_perm_inverse(perm))
-        prev = data.get(key)
-        new_coeff = new_coeff if prev is None else prev + new_coeff
-        if new_coeff.is_zero():
-            data.pop(key, None)
-        else:
-            data[key] = new_coeff
-    return SkeinElement._raw(kappa, data)
+    return SkeinElement._raw(v.kappa, {
+        (exps[-1:] + exps[:-1], _rotated_perm_inverse(perm)): coeff * c_power(-2 * exps[-1])
+        for (exps, perm), coeff in v.terms.items()
+    })
 
 
 def act_word(word: GeneratorWord, v: SkeinElement) -> SkeinElement:
-    """Act by a generator word, rightmost letter first."""
+    """Act by a generator word, rightmost letter first (:func:`~daha.words.apply_word`)."""
     if word.kappa != v.kappa:
         raise RankMismatchError(f"word kappa {word.kappa} does not match kappa {v.kappa}")
-    for letter in reversed(word.letters):
-        kind, i, sign = letter.kind, letter.index, letter.sign
-        if kind == "x":
-            v = act_x(i, v, sign)
-        elif kind == "s":
-            v = act_sigma(i, v) if sign > 0 else act_sigma_inv(i, v)
-        elif i == 1:
-            v = act_y1(v) if sign > 0 else act_y1_inv(v)
-        else:
-            expansion = expand_y(i, word.kappa)
-            v = act_word(expansion if sign > 0 else expansion.inverse(), v)
-    return v
+    return apply_word(word, v, (act_x, act_sigma, act_sigma_inv, act_y1, act_y1_inv))
 
 
 # -- parsing -----------------------------------------------------------------
@@ -473,38 +347,23 @@ def parse_skein(text: str, kappa: int) -> SkeinElement:
     element.
     """
     ts = TokenStream(text)
-    element = SkeinElement.zero(kappa)
-    sign = -1 if ts.accept("-") else 1
-    element = element + _parse_skein_term(ts, kappa, sign)
-    while True:
-        if ts.accept("+"):
-            element = element + _parse_skein_term(ts, kappa, 1)
-        elif ts.accept("-"):
-            element = element + _parse_skein_term(ts, kappa, -1)
-        elif ts.at_end():
-            return element
-        else:
-            ts.fail(f"unexpected {ts.peek().text!r} in skein element")
+    terms = parse_signed_sum(ts, lambda ts, sign: _parse_skein_term(ts, kappa, sign))
+    if not ts.at_end():
+        ts.fail(f"unexpected {ts.peek().text!r} in skein element")
+    return SkeinElement(kappa, [term for term in terms if term is not None])
 
 
-def _parse_skein_term(ts: TokenStream, kappa: int, sign: int) -> SkeinElement:
+def _parse_skein_term(ts: TokenStream, kappa: int, sign: int) -> tuple[BasisKey, ScalarPoly] | None:
+    """One term as (basis pair, coefficient), or None for a bare zero such as ``0``."""
     coeff = ScalarPoly.integer(sign)
-    basis: tuple[ExponentVector, Permutation] | None = None
+    basis: BasisKey | None = None
     explicit_zero = False
     while True:
         tok = ts.peek()
-        if tok.kind == "int":
-            ts.advance()
-            value = int(tok.text)
-            if value == 0:
-                explicit_zero = True
-            coeff = coeff * ScalarPoly.integer(value)
-        elif tok.kind == "name" and tok.letter in ("s", "c", "d") and tok.index is None:
-            ts.advance()
-            exp = parse_signed_int(ts, "exponent") if ts.accept("^") else 1
-            triple = [0, 0, 0]
-            triple[("s", "c", "d").index(tok.letter)] = exp
-            coeff = coeff * ScalarPoly.monomial(*triple)
+        factor = parse_scalar_factor(ts)
+        if factor is not None:
+            explicit_zero = explicit_zero or factor.is_zero()
+            coeff = coeff * factor
         elif tok.kind == "(":
             mark = ts.save()
             try:
@@ -526,9 +385,9 @@ def _parse_skein_term(ts: TokenStream, kappa: int, sign: int) -> SkeinElement:
             break
     if basis is None:
         if coeff.is_zero() and explicit_zero:
-            return SkeinElement.zero(kappa)
+            return None
         raise ParseError("term is missing its (monomial, permutation) basis pair", ts.peek().pos)
-    return SkeinElement(kappa, [(basis, coeff)])
+    return basis, coeff
 
 
 def _parse_basis_pair(ts: TokenStream, kappa: int) -> tuple[ExponentVector, Permutation]:

@@ -11,6 +11,9 @@ equality of algebra elements is only ever tested through the two module
 actions.  Each letter carries a kind ('s', 'x' or 'y'), a 1-based index, and
 a sign (+1 or -1 for the inverse letter).
 
+:func:`apply_word` is the one word dispatcher: both module actions run a
+word through it with their own generator actions.
+
 :func:`relation_table` returns the nine defining relations.  Most are plain
 word equalities; the quadratic relation (number 8) and the torus relation
 (number 9) need scalar multipliers, so each relation side is a formal linear
@@ -20,7 +23,7 @@ combination: a tuple of (ScalarPoly coefficient, word) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ._tokens import TokenStream, parse_signed_int
 from .scalars import ScalarPoly, c_power, hbar
@@ -179,6 +182,29 @@ def _expand_loop(kind: str, i: int, kappa: int) -> GeneratorWord:
     descending = _sigma_run(range(i - 1, 0, -1))
     ascending = _sigma_run(range(1, i))
     return GeneratorWord(kappa, descending + [GeneratorLetter(kind, 1, 1)] + ascending)
+
+
+def apply_word(word: GeneratorWord, v, actions: tuple[Callable, ...]):
+    """Act by a generator word on v, rightmost letter first.
+
+    The one word dispatcher of both module actions.  ``actions`` is
+    ``(act_x, act_sigma, act_sigma_inv, act_y1, act_y1_inv)`` of one module,
+    with ``act_x(i, v, sign)``; a letter y_i with i > 1 acts through its
+    expansion :func:`expand_y`.
+    """
+    act_x, act_sigma, act_sigma_inv, act_y1, act_y1_inv = actions
+    for letter in reversed(word.letters):
+        kind, i, sign = letter.kind, letter.index, letter.sign
+        if kind == "x":
+            v = act_x(i, v, sign)
+        elif kind == "s":
+            v = act_sigma(i, v) if sign > 0 else act_sigma_inv(i, v)
+        elif i == 1:
+            v = act_y1(v) if sign > 0 else act_y1_inv(v)
+        else:
+            expansion = expand_y(i, word.kappa)
+            v = apply_word(expansion if sign > 0 else expansion.inverse(), v, actions)
+    return v
 
 
 Side = tuple[tuple[ScalarPoly, GeneratorWord], ...]

@@ -62,6 +62,20 @@ class TestRingOps:
         got = X(2).scale(c_power(2)) * X(1, -1)
         assert got == LaurentPoly.monomial(2, (-1, 1), c_power(2))
 
+    @pytest.mark.parametrize("value", [0.5, 1.7, 1.0000001])
+    def test_constructor_rejects_non_integer_exponents(self, value):
+        with pytest.raises(TypeError):
+            LaurentPoly(2, {(value, 0): 1})
+        with pytest.raises(TypeError):
+            LaurentPoly(2, {(0, 1): value})
+
+    @pytest.mark.parametrize("value", [0.5, 1.5, 1.0000001])
+    def test_monomial_rejects_non_integer_exponents(self, value):
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(2, (value, 0))
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(2, (0, 0), value)
+
     def test_rank_mismatch_is_an_error(self):
         with pytest.raises(RankMismatchError):
             X(1, 1, 2) + X(1, 1, 3)

@@ -75,6 +75,24 @@ class TestArithmetic:
         assert poly == ZERO
         assert not poly
 
+    @pytest.mark.parametrize("value", [0.5, 2.5, 1.0000001, Fraction(3, 2)])
+    def test_constructor_rejects_non_integers(self, value):
+        with pytest.raises(TypeError):
+            ScalarPoly({(0, 0, 0): value})
+        with pytest.raises(TypeError):
+            ScalarPoly({(value, 0, 0): 1})
+
+    @pytest.mark.parametrize("value", [0.5, 2.5, 1.0000001, Fraction(3, 2)])
+    def test_integer_rejects_non_integers(self, value):
+        with pytest.raises(TypeError):
+            ScalarPoly.integer(value)
+
+    @pytest.mark.parametrize("value", [0.5, 2.5, 1.0000001, Fraction(3, 2)])
+    def test_monomial_rejects_non_integers(self, value):
+        for kwargs in ({"e_s": value}, {"e_c": value}, {"e_d": value}, {"coeff": value}):
+            with pytest.raises(TypeError):
+                ScalarPoly.monomial(**kwargs)
+
 
 class TestHbar:
     def test_value(self):

@@ -85,6 +85,11 @@ class TestPermutation:
             with pytest.raises(ValueError):
                 Permutation(images)
 
+    @pytest.mark.parametrize("value", [2.0, 1.5, 2.0000001])
+    def test_rejects_non_integer_images(self, value):
+        with pytest.raises(TypeError):
+            Permutation((1, value))
+
     def test_inverse(self):
         perm = Permutation((2, 3, 1))
         assert inverse(perm) == Permutation((3, 1, 2))
@@ -414,6 +419,13 @@ class TestTextFormat:
         two_terms = parse_skein("(a1,[2 1]) - d*(1,[1 2])", 2)
         assert two_terms == SkeinElement.basis(2, (1, 0), T2) - unit(2, E2).scale(d_power(1))
         assert parse_skein("0", 2) == SkeinElement.zero(2)
+
+    @pytest.mark.parametrize("value", [0.5, 1.5, -0.0000001])
+    def test_constructor_rejects_non_integer_exponents(self, value):
+        with pytest.raises(TypeError):
+            SkeinElement(2, [(((value, 0), E2), 1)])
+        with pytest.raises(TypeError):
+            SkeinElement.basis(2, (1, value), T2)
 
     def test_parse_rejects_bad_input(self):
         with pytest.raises(ParseError):
