@@ -61,7 +61,7 @@ def tokenize(text: str) -> list[Token]:
 
 
 class TokenStream:
-    """A token list with a cursor; supports save/restore for backtracking."""
+    """A token list with a cursor and lookahead (:meth:`peek`)."""
 
     def __init__(self, text: str):
         self.tokens = tokenize(text)
@@ -87,12 +87,6 @@ class TokenStream:
         if tok.kind != kind:
             self.fail(f"expected {what or kind!r}, found {tok.text or 'end of input'!r}")
         return self.advance()
-
-    def save(self) -> int:
-        return self.pos
-
-    def restore(self, mark: int) -> None:
-        self.pos = mark
 
     def at_end(self) -> bool:
         return self.peek().kind == "end"

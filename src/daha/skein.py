@@ -364,19 +364,15 @@ def _parse_skein_term(ts: TokenStream, kappa: int, sign: int) -> tuple[BasisKey,
         if factor is not None:
             explicit_zero = explicit_zero or factor.is_zero()
             coeff = coeff * factor
+        elif tok.kind == "(" and _starts_basis_pair(ts):
+            pair = _parse_basis_pair(ts, kappa)
+            if basis is not None:
+                ts.fail("a term may contain only one basis pair")
+            basis = pair
         elif tok.kind == "(":
-            mark = ts.save()
-            try:
-                pair = _parse_basis_pair(ts, kappa)
-            except ParseError:
-                ts.restore(mark)
-                ts.advance()
-                coeff = coeff * parse_scalar_sum(ts)
-                ts.expect(")", "')'")
-            else:
-                if basis is not None:
-                    ts.fail("a term may contain only one basis pair")
-                basis = pair
+            ts.advance()
+            coeff = coeff * parse_scalar_sum(ts)
+            ts.expect(")", "')'")
         else:
             raise ParseError(
                 f"expected a term factor, found {tok.text or 'end of input'!r}", tok.pos
@@ -388,6 +384,15 @@ def _parse_skein_term(ts: TokenStream, kappa: int, sign: int) -> tuple[BasisKey,
             return None
         raise ParseError("term is missing its (monomial, permutation) basis pair", ts.peek().pos)
     return basis, coeff
+
+
+def _starts_basis_pair(ts: TokenStream) -> bool:
+    """Whether the ``(`` at the cursor opens a basis pair rather than a scalar
+    sum: its monomial starts with an a-variable, or is the ``1`` before ``,``."""
+    first = ts.peek(1)
+    if first.kind == "name" and first.letter == "a":
+        return True
+    return first.kind == "int" and first.text == "1" and ts.peek(2).kind == ","
 
 
 def _parse_basis_pair(ts: TokenStream, kappa: int) -> tuple[ExponentVector, Permutation]:

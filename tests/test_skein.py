@@ -427,6 +427,12 @@ class TestTextFormat:
         with pytest.raises(TypeError):
             SkeinElement.basis(2, (1, value), T2)
 
+    def test_parse_error_names_the_bad_permutation(self):
+        with pytest.raises(ParseError, match=r"\[1, 1\] is not a permutation of 1..2"):
+            parse_skein("(a1,[1 1])", 2)
+        with pytest.raises(ParseError, match=r"\[2\] is not a permutation of 1..2"):
+            parse_skein("s*(1,[2])", 2)
+
     def test_parse_rejects_bad_input(self):
         with pytest.raises(ParseError):
             parse_skein("(a3,[1 2])", 2)
