@@ -284,21 +284,10 @@ def act_sigma_inv(i: int, v: SkeinElement) -> SkeinElement:
     return act_sigma(i, v) - v.scale(hbar())
 
 
-def _rotated_perm(perm: Permutation) -> Permutation:
-    for i in range(1, perm.size):
-        perm = perm.precompose_swap(i)
-    return perm
-
-
-def _rotated_perm_inverse(perm: Permutation) -> Permutation:
-    for i in range(perm.size - 1, 0, -1):
-        perm = perm.precompose_swap(i)
-    return perm
-
-
-# The exponent rotation and the permutation rotation are bijections and
-# c-powers are units, so the shifts in act_y1 and act_y1_inv can neither merge
-# nor cancel terms.
+# The swaps at positions 1, 2, ..., kappa-1, applied in that order, move the
+# first image of a permutation to the end: the permutation rotates as the
+# exponents do.  Both rotations are bijections and c-powers are units, so the
+# shifts in act_y1 and act_y1_inv can neither merge nor cancel terms.
 
 
 def act_y1(v: SkeinElement) -> SkeinElement:
@@ -310,7 +299,8 @@ def act_y1(v: SkeinElement) -> SkeinElement:
     by the braid chain s_{kappa-1}^-1 first, s_1^-1 last.
     """
     result = SkeinElement._raw(v.kappa, {
-        (exps[1:] + exps[:1], _rotated_perm(perm)): coeff * c_power(2 * exps[0])
+        (exps[1:] + exps[:1], Permutation._raw(perm.images[1:] + perm.images[:1])):
+            coeff * c_power(2 * exps[0])
         for (exps, perm), coeff in v.terms.items()
     })
     for i in range(v.kappa - 1, 0, -1):
@@ -324,7 +314,8 @@ def act_y1_inv(v: SkeinElement) -> SkeinElement:
     for i in range(1, v.kappa):
         v = act_sigma(i, v)
     return SkeinElement._raw(v.kappa, {
-        (exps[-1:] + exps[:-1], _rotated_perm_inverse(perm)): coeff * c_power(-2 * exps[-1])
+        (exps[-1:] + exps[:-1], Permutation._raw(perm.images[-1:] + perm.images[:-1])):
+            coeff * c_power(-2 * exps[-1])
         for (exps, perm), coeff in v.terms.items()
     })
 
@@ -388,11 +379,9 @@ def _parse_skein_term(ts: TokenStream, kappa: int, sign: int) -> tuple[BasisKey,
 
 def _starts_basis_pair(ts: TokenStream) -> bool:
     """Whether the ``(`` at the cursor opens a basis pair rather than a scalar
-    sum: its monomial starts with an a-variable, or is the ``1`` before ``,``."""
-    first = ts.peek(1)
-    if first.kind == "name" and first.letter == "a":
-        return True
-    return first.kind == "int" and first.text == "1" and ts.peek(2).kind == ","
+    sum: its monomial starts with an a-variable, or is the ``1`` before ``,``.
+    Only name tokens have a letter and only an integer token reads ``1``."""
+    return ts.peek(1).letter == "a" or (ts.peek(1).text == "1" and ts.peek(2).kind == ",")
 
 
 def _parse_basis_pair(ts: TokenStream, kappa: int) -> tuple[ExponentVector, Permutation]:
