@@ -236,10 +236,8 @@ def act_sigma_base(i: int, perm: Permutation) -> SkeinElement:
     swapped = perm.precompose_swap(i)
     if perm(i) < perm(i + 1):
         return SkeinElement._raw(kappa, {(zero_exps, swapped): d_power(-1)})
-    return SkeinElement(
-        kappa,
-        [((zero_exps, swapped), d_power(1)), ((zero_exps, perm), hbar())],
-    )
+    # swapped differs from perm, so the two basis pairs are distinct.
+    return SkeinElement._raw(kappa, {(zero_exps, swapped): d_power(1), (zero_exps, perm): hbar()})
 
 
 def push_sigma_past_monomial(i: int, exps: Sequence[int]) -> tuple[LaurentPoly, LaurentPoly]:
