@@ -70,9 +70,10 @@ class SparseCombination:
     The shared storage, arithmetic, equality and printing of
     :class:`LaurentPoly` and :class:`~daha.skein.SkeinElement`.  A subclass
     names its rank (``_RANK``) and supplies ``_check_key(rank, key)``
-    (validate and normalise a key), ``_sort_key`` (print order, largest first) and
-    ``_format_key`` (the text of a key, empty for the unit).  Binary operations
-    refuse operands of another class or rank; there is no broadcasting.
+    (validate and normalise a key), ``_sort_key`` (print order, largest
+    first) and ``_format_key`` (the text of a key, empty for the unit).
+    Binary operations refuse operands of another class or rank; there is no
+    broadcasting.
     """
 
     __slots__ = ("_rank", "_terms")

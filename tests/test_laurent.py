@@ -276,6 +276,7 @@ class TestTextFormat:
         assert str(-X(1)) == "-X1"
         assert str(X(1).scale(s_power(1) + s_power(-1))) == "(s + s^-1)*X1"
         assert str(LaurentPoly.one(2).scale(hbar2())) == "s^2 - 2 + s^-2"
+        assert repr(-X(1)) == "<LaurentPoly rank=2 -X1>"
 
     def test_parse_examples(self):
         assert parse_laurent("s*X1^2*X2^-1 + c^2*X2", 2) == (

@@ -410,6 +410,7 @@ class TestTextFormat:
         assert str(-unit(2, T2)) == "-(1,[2 1])"
         assert str(SkeinElement.zero(2)) == "0"
         assert str(unit(2, E2).scale(hbar())) == "(s - s^-1)*(1,[1 2])"
+        assert repr(-unit(2, T2)) == "<SkeinElement kappa=2 -(1,[2 1])>"
 
     def test_parse_examples(self):
         assert parse_skein("(a1^2*a2^-1, [2 1])", 2) == SkeinElement.basis(2, (2, -1), T2)
