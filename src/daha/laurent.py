@@ -22,15 +22,17 @@ representation is built from:
 
 and :func:`braid_kernel`, the divided difference built from
 :func:`swap_variables` and :func:`exact_divide` that both module actions of
-the braid letter s_i share.
+the braid letter s_i share.  :func:`adjacent_ratio` builds the one-term
+divisor part ``X_i * X_{i+1}^-1``.
 
 The number of variables (the rank) travels with every value and binary
 operations refuse to mix ranks; there is no broadcasting.
 
-A product with a one-term factor (as in ``x_i`` and the certification of
-:func:`exact_divide`) shifts the exponent vectors injectively and multiplies
-coefficients in an integral domain, so it is built in one pass with no term
-merging or cancelling.
+A product with a one-term factor (as in ``x_i``, the s_i^-1 of the
+polynomial representation and the certification of :func:`exact_divide`)
+shifts the exponent vectors injectively and multiplies coefficients in an
+integral domain, so it is built in one pass with no term merging or
+cancelling.
 """
 
 from __future__ import annotations
@@ -359,6 +361,13 @@ def rotate_variables_inverse(f: LaurentPoly) -> LaurentPoly:
     })
 
 
+def adjacent_ratio(rank: int, i: int) -> LaurentPoly:
+    """The monomial Y = X_i * X_{i+1}^-1; a product by it is a key shift."""
+    shift = [0] * rank
+    shift[i - 1], shift[i] = 1, -1
+    return LaurentPoly._raw(rank, {tuple(shift): ScalarPoly.one()})
+
+
 def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
     """Divide f exactly by X_i * X_{i+1}^-1 - 1.
 
@@ -411,10 +420,7 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
     # that the only product is by the one-term Y = X_i X_{i+1}^-1: a key
     # shift.  It runs under every interpreter flag, so a wrong quotient is a
     # failed check even under ``python -O``.
-    shift = [0] * f.rank
-    shift[idx], shift[idx + 1] = 1, -1
-    y = LaurentPoly._raw(f.rank, {tuple(shift): ScalarPoly.one()})
-    if quotient * y != f + quotient:
+    if quotient * adjacent_ratio(f.rank, i) != f + quotient:
         raise NonDivisibleError(
             f"exact_divide multiply-back certification failed for X{i}*X{i + 1}^-1 - 1"
         )
@@ -428,8 +434,13 @@ def braid_kernel(f: LaurentPoly, i: int) -> tuple[LaurentPoly, LaurentPoly]:
     the division exact (:func:`exact_divide`).  The polynomial representation
     sends f to ``s * swap_i f + g``; the skein module rewrites ``s_i a^n`` as
     ``swap_i a^n * s_i + g`` for the monomial ``f = a^n``.
+
+    A symmetric f (``swap_i f == f``) has ``g = 0``, returned without a
+    division.
     """
     swapped = swap_variables(f, i)
+    if swapped == f:
+        return f, LaurentPoly._raw(f.rank, {})
     return swapped, exact_divide(swapped - f, i).scale(hbar())
 
 

@@ -11,8 +11,15 @@ The generators act on ``Z[s^±1, c^±1][X_1^±1, ..., X_k^±1]`` by
   :func:`~daha.laurent.braid_kernel`, which the skein push-through shares,
 * ``y_1``: the twisted rotation :func:`~daha.laurent.rotate_variables`
   followed by s_{k-1}^-1, ..., s_1^-1 (rotation acts first),
-* ``s_i^-1 = s_i - (s - s^-1)`` from the quadratic relation, and ``y_1^-1``
-  is the exact inverse chain s_1, ..., s_{k-1}, then the inverse rotation.
+* ``s_i^-1 = s_i - (s - s^-1)`` from the quadratic relation, computed in the
+  closed form
+
+      f  |->  s^-1 * swap_i(f) + X_i X_{i+1}^-1 * g,
+
+  with (swap_i(f), g) the same kernel pair: since
+  ``(s - s^-1) * (swap_i(f) - f) = (X_i X_{i+1}^-1 - 1) * g``, the sum
+  ``s * swap_i(f) + g - (s - s^-1) * f`` equals it.  ``y_1^-1`` is the exact
+  inverse chain s_1, ..., s_{k-1}, then the inverse rotation.
 
 Words act letter by letter, rightmost letter first, so that word
 concatenation matches operator composition for a left action; the dispatcher
@@ -25,8 +32,10 @@ mutated.
 from __future__ import annotations
 
 from .errors import RankMismatchError
-from .laurent import LaurentPoly, braid_kernel, rotate_variables, rotate_variables_inverse
-from .scalars import hbar, s_power
+from .laurent import (
+    LaurentPoly, adjacent_ratio, braid_kernel, rotate_variables, rotate_variables_inverse,
+)
+from .scalars import s_power
 from .words import GeneratorWord, apply_word
 
 
@@ -42,8 +51,15 @@ def act_sigma(i: int, f: LaurentPoly) -> LaurentPoly:
 
 
 def act_sigma_inv(i: int, f: LaurentPoly) -> LaurentPoly:
-    """Apply s_i^-1 = s_i - (s - s^-1)."""
-    return act_sigma(i, f) - f.scale(hbar())
+    """Apply s_i^-1 = s_i - (s - s^-1) as ``s^-1 * swap_i f + Y * g``.
+
+    Here ``(swap_i f, g)`` is :func:`~daha.laurent.braid_kernel` and
+    ``Y = X_i X_{i+1}^-1``: from ``(s - s^-1) * (swap_i f - f) = (Y - 1) * g``,
+    ``s * swap_i f + g - (s - s^-1) * f = s^-1 * swap_i f + Y * g``.  The
+    product by the one-term Y is a key shift.
+    """
+    swapped, g = braid_kernel(f, i)
+    return swapped.scale(s_power(-1)) + g * adjacent_ratio(f.rank, i)
 
 
 def act_y1(f: LaurentPoly) -> LaurentPoly:

@@ -146,7 +146,12 @@ class SkeinElement(SparseCombination):
 
     @staticmethod
     def _check_key(kappa: int, key: BasisKey) -> BasisKey:
-        exps, perm = key
+        try:
+            exps, perm = key
+        except (TypeError, ValueError):
+            perm = None
+        if not isinstance(perm, Permutation):
+            raise TypeError(f"basis pair {key!r} is not an (exponents, Permutation) pair")
         key = (tuple(map(index, exps)), perm)
         if len(key[0]) != kappa or perm.size != kappa:
             raise ValueError(f"basis pair {key} does not match kappa={kappa}")
@@ -196,18 +201,31 @@ class SkeinElement(SparseCombination):
             return SkeinElement._raw(self._rank, {})
         # A translation of the exponent vectors is injective and nonzero
         # times nonzero is nonzero, so no terms merge or cancel.
+        if coeff.is_one():
+            return SkeinElement._raw(self._rank, {
+                (tuple(map(add, exps, offset)), perm): old
+                for (exps, perm), old in self._terms.items()
+            })
         return SkeinElement._raw(self._rank, {
             (tuple(map(add, exps, offset)), perm): old * coeff
             for (exps, perm), old in self._terms.items()
         })
 
     def multiply_by_a_poly(self, poly: LaurentPoly) -> "SkeinElement":
-        """Multiply by a Laurent polynomial in the a-variables."""
+        """Multiply by a Laurent polynomial in the a-variables.
+
+        ``self`` is scaled once per run of one coefficient object in ``poly``
+        (as in the quotients of :func:`~daha.laurent.exact_divide`), and each
+        term of ``poly`` then only shifts the exponents.
+        """
         if poly.rank != self._rank:
             raise RankMismatchError(f"rank {poly.rank} does not match kappa {self._rank}")
         data: dict[BasisKey, ScalarPoly] = {}
+        last = scaled = None
         for exps, coeff in poly.terms.items():
-            accumulate(data, self.shift_exponents(exps, coeff)._terms.items())
+            if coeff is not last:
+                last, scaled = coeff, self.scale(coeff)
+            accumulate(data, scaled.shift_exponents(exps)._terms.items())
         return SkeinElement._raw(self._rank, data)
 
     def substitute_d_eq_s(self) -> "SkeinElement":
@@ -227,6 +245,10 @@ def act_x(i: int, v: SkeinElement, exp: int = 1) -> SkeinElement:
     return v.shift_exponents(offset)
 
 
+_D = d_power(1)
+_D_INV = d_power(-1)
+
+
 def act_sigma_base(i: int, perm: Permutation) -> SkeinElement:
     """The braid letter s_i on the exponent-free pair (1, perm)."""
     kappa = perm.size
@@ -235,9 +257,9 @@ def act_sigma_base(i: int, perm: Permutation) -> SkeinElement:
     zero_exps = (0,) * kappa
     swapped = perm.precompose_swap(i)
     if perm(i) < perm(i + 1):
-        return SkeinElement._raw(kappa, {(zero_exps, swapped): d_power(-1)})
+        return SkeinElement._raw(kappa, {(zero_exps, swapped): _D_INV})
     # swapped differs from perm, so the two basis pairs are distinct.
-    return SkeinElement._raw(kappa, {(zero_exps, swapped): d_power(1), (zero_exps, perm): hbar()})
+    return SkeinElement._raw(kappa, {(zero_exps, swapped): _D, (zero_exps, perm): hbar()})
 
 
 def push_sigma_past_monomial(i: int, exps: Sequence[int]) -> tuple[LaurentPoly, LaurentPoly]:
@@ -256,6 +278,9 @@ def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
     Terms are grouped by exponent vector, so each distinct monomial is pushed
     once: the terms c_sigma (a^n, sigma) map to
     f * sum c_sigma s_i(1, sigma) + g * sum c_sigma (1, sigma).
+    The pushed f is the single monomial swap_i a^n with coefficient 1, so the
+    braided half lands directly at the keys (swap_i n, sigma') of the terms
+    of s_i(1, sigma), with coefficient c_sigma times the two-case rule's.
     """
     kappa = v.kappa
     if not 1 <= i <= kappa - 1:
@@ -267,10 +292,12 @@ def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
     data: dict[BasisKey, ScalarPoly] = {}
     for exps, pairs in by_exps.items():
         f, g = push_sigma_past_monomial(i, exps)
-        braided: dict[BasisKey, ScalarPoly] = {}
+        (swapped_exps,) = f._terms
         for perm, coeff in pairs:
-            accumulate(braided, act_sigma_base(i, perm)._terms.items(), coeff)
-        accumulate(data, SkeinElement._raw(kappa, braided).multiply_by_a_poly(f)._terms.items())
+            accumulate(data, (
+                ((swapped_exps, base_perm), base_coeff)
+                for (_, base_perm), base_coeff in act_sigma_base(i, perm)._terms.items()
+            ), coeff)
         if not g.is_zero():
             unbraided = SkeinElement._raw(kappa, {(zero_exps, perm): coeff for perm, coeff in pairs})
             accumulate(data, unbraided.multiply_by_a_poly(g)._terms.items())

@@ -26,9 +26,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ._tokens import TokenStream, parse_signed_int
+from .errors import ParseError
 from .scalars import ScalarPoly, c_power, hbar
 
 _KINDS = ("s", "x", "y")
+
+# Most letters a parsed word may expand to.  An exponent ``^n`` becomes |n|
+# letter objects, so the cap is checked before a run is expanded.
+MAX_WORD_LETTERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,9 @@ def parse_word(text: str, kappa: int) -> GeneratorWord:
     """Parse e.g. ``x1^-1 * y1 * x1 * y1^-1``; the empty string is identity.
 
     An exponent ``^n`` expands to |n| copies of the letter with the sign of
-    n, so printing and parsing round-trip on the letter sequence.
+    n, so printing and parsing round-trip on the letter sequence.  A word
+    that would expand to more than :data:`MAX_WORD_LETTERS` letters raises
+    :class:`~daha.errors.ParseError` before the offending run is expanded.
     """
     ts = TokenStream(text)
     if ts.at_end():
@@ -155,6 +162,8 @@ def parse_word(text: str, kappa: int) -> GeneratorWord:
             ts.fail(f"index out of range: {tok.text!r} is not valid for kappa={kappa}")
         ts.advance()
         exp = parse_signed_int(ts, "exponent") if ts.accept("^") else 1
+        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+            raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters", tok.pos)
         sign = 1 if exp >= 0 else -1
         letters.extend(GeneratorLetter(tok.letter, tok.index, sign) for _ in range(abs(exp)))
         if ts.at_end():

@@ -17,6 +17,10 @@ commutation rules
 * :func:`sigma_letter_by_letter` applies s_i to a basis pair through the
   module structure (peel one letter, commute, recurse) without ever forming
   the pair (f, g).
+* :func:`sigma_termwise` applies s_i to a whole element one basis term at a
+  time, pushing each term's monomial with :func:`push_by_letters` and
+  spelling every product out as a sum of basis pairs: no grouping by
+  exponent vector and no ``multiply_by_a_poly``.
 
 Both accept any factorization order of the monomial; the result must not
 depend on it.
@@ -99,3 +103,19 @@ def sigma_letter_by_letter(i: int, letters, perm: Permutation) -> SkeinElement:
         rest_exps[k - 1] += s
     rest_element = SkeinElement.basis(kappa, rest_exps, perm)
     return inner.multiply_by_a_poly(a_part) + rest_element.multiply_by_a_poly(b_part)
+
+
+def sigma_termwise(i: int, v: SkeinElement) -> SkeinElement:
+    """s_i . v as the sum over the terms c (a^n, sigma) of v of
+    c * (f * s_i(1, sigma) + g * (1, sigma)), with (f, g) from
+    :func:`push_by_letters`."""
+    kappa = v.kappa
+    result = SkeinElement.zero(kappa)
+    for (exps, perm), coeff in v.terms.items():
+        f, g = push_by_letters(i, exps)
+        for poly, base in ((f, act_sigma_base(i, perm)), (g, SkeinElement.basis(kappa, (0,) * kappa, perm))):
+            for a_exps, a_coeff in poly.terms.items():
+                for (_, base_perm), base_coeff in base.terms.items():
+                    term = SkeinElement.basis(kappa, a_exps, base_perm, coeff * a_coeff * base_coeff)
+                    result = result + term
+    return result

@@ -8,6 +8,7 @@ import pytest
 
 from daha import CheckReport, Counterexample, LaurentPoly
 from daha.cli import main
+from daha.words import MAX_WORD_LETTERS
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -51,6 +52,12 @@ class TestEval:
                            "--word", "x3", "--elem", "1")
         assert code == 2
         assert "error:" in err
+
+    def test_word_over_the_length_cap_exits_two(self, capsys):
+        code, _, err = run(capsys, "eval", "--rep", "poly", "--kappa", "2",
+                           "--word", f"s1^{MAX_WORD_LETTERS + 1}", "--elem", "1")
+        assert code == 2
+        assert f"more than {MAX_WORD_LETTERS} letters" in err
 
     def test_bad_element_exits_two(self, capsys):
         code, _, err = run(capsys, "eval", "--rep", "skein", "--kappa", "2",

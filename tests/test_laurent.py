@@ -26,7 +26,9 @@ from daha import (
     s_power,
     swap_variables,
 )
+from daha import laurent
 from daha.errors import ParseError
+from daha.laurent import adjacent_ratio, braid_kernel
 
 from conftest import laurent_polys, scalar_polys
 from product_oracle import laurent_product
@@ -259,6 +261,34 @@ class TestExactDivide:
             LaurentPoly.variable(3, i) * LaurentPoly.variable(3, i + 1, -1) - LaurentPoly.one(3)
         )
         assert exact_divide(q * divisor, i) == q
+
+
+class TestBraidKernel:
+    def test_adjacent_ratio(self):
+        assert adjacent_ratio(3, 2) == X(2, 1, 3) * X(3, -1, 3)
+
+    def test_divided_difference(self):
+        f = X(1, 3) * X(2, -1) + X(2).scale(c_power(1))
+        swapped, g = braid_kernel(f, 1)
+        assert swapped == swap_variables(f, 1)
+        assert g * crossing_binomial(2, 1) == (swapped - f).scale(hbar())
+
+    def test_symmetric_input_skips_the_division(self, monkeypatch):
+        def no_division(f, i):
+            raise AssertionError("exact_divide called on a symmetric input")
+
+        monkeypatch.setattr(laurent, "exact_divide", no_division)
+        symmetric = [
+            (X(1) + X(2), 1),
+            (X(1, 2) * X(2, 2), 1),
+            (LaurentPoly.one(3), 2),
+            (X(1, -1, 3) * X(2, -1, 3) + X(3, 4, 3).scale(hbar()), 1),
+            (LaurentPoly.zero(2), 1),
+        ]
+        for f, i in symmetric:
+            swapped, g = braid_kernel(f, i)
+            assert swapped == f
+            assert g.is_zero()
 
 
 class TestSubstitute:

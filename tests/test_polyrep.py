@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, strategies as st
 from daha import (
     GeneratorWord,
     LaurentPoly,
+    ScalarPoly,
     c_power,
+    d_power,
     hbar,
     parse_word,
     rotate_variables,
@@ -89,6 +92,46 @@ class TestBraidLetter:
     def test_preserves_symmetric_polynomials(self, f, i):
         symmetric = f + swap_variables(f, i)
         assert act_sigma(i, symmetric) == symmetric.scale(s_power(1))
+
+
+class TestInverseClosedForm:
+    """s^-1 * swap_i f + X_i X_{i+1}^-1 * g against the quadratic relation's
+    s_i f - (s - s^-1) f, on seeded grids."""
+
+    POOL = [s_power(1), hbar(), c_power(2) - d_power(-1) + ScalarPoly.integer(3), ScalarPoly.integer(-2)]
+
+    @staticmethod
+    def oracle(i: int, f: LaurentPoly) -> LaurentPoly:
+        return act_sigma(i, f) - f.scale(hbar())
+
+    def random_poly(self, rng: random.Random, rank: int) -> LaurentPoly:
+        return LaurentPoly(rank, [
+            (tuple(rng.randint(-3, 3) for _ in range(rank)), rng.choice(self.POOL))
+            for _ in range(rng.randint(2, 5))
+        ])
+
+    def test_monomials(self):
+        for kappa in (2, 3):
+            for f in monomials(kappa, 2):
+                for i in range(1, kappa):
+                    assert act_sigma_inv(i, f) == self.oracle(i, f), (i, str(f))
+
+    def test_multi_term(self):
+        rng = random.Random(37)
+        for kappa in (2, 3, 4):
+            for _ in range(15):
+                f = self.random_poly(rng, kappa)
+                for i in range(1, kappa):
+                    assert act_sigma_inv(i, f) == self.oracle(i, f), (i, str(f))
+
+    def test_symmetric(self):
+        rng = random.Random(41)
+        for kappa in (2, 3, 4):
+            for _ in range(10):
+                g = self.random_poly(rng, kappa)
+                for i in range(1, kappa):
+                    f = g + swap_variables(g, i)
+                    assert act_sigma_inv(i, f) == self.oracle(i, f) == f.scale(s_power(-1))
 
 
 class TestYLetter:

@@ -20,6 +20,7 @@ from daha import (
     GeneratorWord,
     LaurentPoly,
     Permutation,
+    ScalarPoly,
     SkeinElement,
     all_permutations,
     c_power,
@@ -31,6 +32,7 @@ from daha import (
     s_power,
 )
 from daha.errors import ParseError, RankMismatchError
+from daha.laurent import braid_kernel
 from daha.skein import (
     act_sigma,
     act_sigma_base,
@@ -43,7 +45,7 @@ from daha.skein import (
 from daha.verify import symmetrize
 
 from conftest import permutations, skein_elements
-from push_oracle import monomial_letters, push_by_letters, sigma_letter_by_letter
+from push_oracle import monomial_letters, push_by_letters, sigma_letter_by_letter, sigma_termwise
 
 E2 = Permutation.identity(2)
 T2 = Permutation((2, 1))
@@ -51,6 +53,22 @@ T2 = Permutation((2, 1))
 
 def unit(kappa: int, perm: Permutation) -> SkeinElement:
     return SkeinElement.basis(kappa, (0,) * kappa, perm)
+
+
+def shared_coefficient_elements(kappa: int, rng: random.Random, count: int) -> list[SkeinElement]:
+    """Seeded elements whose terms repeat exponent vectors (several
+    permutations each) and share coefficient objects between terms."""
+    pool = [s_power(1), hbar(), s_power(2) + c_power(-2) - d_power(1), ScalarPoly.integer(-3)]
+    perms = list(all_permutations(kappa))
+    elements = []
+    for _ in range(count):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.randint(-3, 3) for _ in range(kappa))
+            for perm in rng.sample(perms, rng.randint(1, len(perms))):
+                terms.append(((exps, perm), rng.choice(pool)))
+        elements.append(SkeinElement(kappa, terms))
+    return elements
 
 
 def inverse(perm: Permutation) -> Permutation:
@@ -304,6 +322,38 @@ class TestBraidAction:
                         termwise = termwise + act_sigma(i, SkeinElement.basis(kappa, exps, perm, coeff))
                     assert act_sigma(i, v) == termwise
 
+    def test_matches_termwise_oracle(self):
+        # The grouped, one-pass action against pushing every basis term alone
+        # through push_by_letters.
+        rng = random.Random(29)
+        shared = 0
+        for kappa in (2, 3):
+            for v in shared_coefficient_elements(kappa, rng, 12):
+                coeffs = list(v.terms.values())
+                shared += len({id(c) for c in coeffs}) < len(coeffs)
+                for i in range(1, kappa):
+                    assert act_sigma(i, v) == sigma_termwise(i, v), (i, str(v))
+        assert shared > 0
+
+    def test_multiply_by_a_poly_with_shared_coefficients(self):
+        # A braid-kernel quotient repeats one coefficient object along runs
+        # of its terms; the product must equal the termwise sum.
+        rng = random.Random(31)
+        for kappa in (2, 3):
+            rest = (0,) * (kappa - 2)
+            f = LaurentPoly(kappa, [((3, 1) + rest, c_power(1)), ((0, 5) + rest, 1)])
+            _, g = braid_kernel(f, 1)
+            coeffs = list(g.terms.values())
+            assert len({id(c) for c in coeffs}) < len(coeffs)
+            assert len(set(coeffs)) > 1
+            for v in shared_coefficient_elements(kappa, rng, 6):
+                termwise = SkeinElement.zero(kappa)
+                for a_exps, a_coeff in g.terms.items():
+                    for (b_exps, perm), b_coeff in v.terms.items():
+                        key = tuple(x + y for x, y in zip(a_exps, b_exps))
+                        termwise = termwise + SkeinElement.basis(kappa, key, perm, b_coeff * a_coeff)
+                assert v.multiply_by_a_poly(g) == termwise
+
     @given(skein_elements(kappa=2), st.integers(min_value=1, max_value=1))
     def test_hecke_relation(self, v, i):
         twice = act_sigma(i, act_sigma(i, v))
@@ -427,6 +477,14 @@ class TestTextFormat:
             SkeinElement(2, [(((value, 0), E2), 1)])
         with pytest.raises(TypeError):
             SkeinElement.basis(2, (1, value), T2)
+
+    def test_constructor_rejects_keys_that_are_not_basis_pairs(self):
+        with pytest.raises(TypeError, match=r"basis pair \(\(0, 0\), \(1, 2\)\)"):
+            SkeinElement(2, [(((0, 0), (1, 2)), 1)])
+        with pytest.raises(TypeError, match="basis pair"):
+            SkeinElement(2, [(((0, 0),), 1)])
+        with pytest.raises(TypeError, match="basis pair"):
+            SkeinElement(2, [(5, 1)])
 
     def test_parse_error_names_the_bad_permutation(self):
         with pytest.raises(ParseError, match=r"\[1, 1\] is not a permutation of 1..2"):

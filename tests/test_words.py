@@ -17,6 +17,7 @@ from daha import (
     relation_table,
 )
 from daha.errors import ParseError
+from daha.words import MAX_WORD_LETTERS
 
 from conftest import generator_words
 
@@ -48,6 +49,13 @@ class TestParsing:
 
     def test_zero_exponent_vanishes(self):
         assert parse_word("s1^0", 2) == GeneratorWord.identity(2)
+
+    def test_word_length_cap(self):
+        # Only one letter past the cap: the check runs before any expansion.
+        with pytest.raises(ParseError, match=f"more than {MAX_WORD_LETTERS} letters"):
+            parse_word(f"s1^{MAX_WORD_LETTERS + 1}", 2)
+        with pytest.raises(ParseError, match=f"more than {MAX_WORD_LETTERS} letters"):
+            parse_word(f"x1 * s1^-{MAX_WORD_LETTERS}", 2)
 
     def test_syntax_errors_carry_position(self):
         with pytest.raises(ParseError):
