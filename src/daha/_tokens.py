@@ -16,6 +16,11 @@ from .errors import ParseError
 
 _PUNCT = set("^*+-()[],")
 
+# Most decimal digits in an integer token or a name index, checked before
+# ``int()`` runs.  640 is the smallest nonzero ``python -X int_max_str_digits``,
+# so no interpreter flag changes which tokens are accepted.
+MAX_INT_DIGITS = 640
+
 
 @dataclass(frozen=True)
 class Token:
@@ -26,6 +31,16 @@ class Token:
     index: int | None = None   # name tokens only: trailing digits, if any
 
 
+def _digits_end(text: str, i: int) -> int:
+    """End of the run of decimal digits that starts at i, within the cap."""
+    j = i
+    while j < len(text) and text[j].isdecimal():
+        j += 1
+    if j - i > MAX_INT_DIGITS:
+        raise ParseError(f"integer longer than {MAX_INT_DIGITS} digits", i)
+    return j
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     i, n = 0, len(text)
@@ -34,17 +49,13 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
+        if ch.isdecimal():
+            j = _digits_end(text, i)
             tokens.append(Token("int", text[i:j], i))
             i = j
             continue
         if ch.isalpha():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
+            j = _digits_end(text, i + 1)
             digits = text[i + 1 : j]
             tokens.append(
                 Token("name", text[i:j], i, letter=ch, index=int(digits) if digits else None)

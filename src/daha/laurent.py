@@ -72,15 +72,14 @@ class SparseCombination:
     The shared storage, arithmetic, equality and printing of
     :class:`LaurentPoly` and :class:`~daha.skein.SkeinElement`.  A subclass
     names its rank (``_RANK``) and supplies ``_check_key(rank, key)``
-    (validate and normalise a key), ``_sort_key`` (print order, largest
-    first) and ``_format_key`` (the text of a key, empty for the unit).
+    (validate and normalise a key) and ``_format_key`` (the text of a key,
+    empty for the unit).  Keys print in their natural order, largest first.
     Binary operations refuse operands of another class or rank; there is no
     broadcasting.
     """
 
     __slots__ = ("_rank", "_terms")
     _RANK = "rank"
-    _sort_key = None
 
     def __init__(self, rank: int, terms: Mapping | Iterable[tuple] = ()):
         if rank < 1:
@@ -189,7 +188,7 @@ class SparseCombination:
         sole_term = len(self._terms) == 1
         return join_signed(
             self._format_term(self._terms[key], self._format_key(key), sole_term)
-            for key in sorted(self._terms, key=self._sort_key, reverse=True)
+            for key in sorted(self._terms, reverse=True)
         )
 
     @staticmethod

@@ -8,6 +8,9 @@ all crossings, such a braid is a combination of basis pairs
 
 where the exponent n_i counts how often strand i winds around the torus and
 the permutation sigma in S_kappa records which curve each strand ends on.
+A :class:`Permutation` is the tuple of its images and compares equal to that
+plain tuple, so a basis pair hashes, compares and sorts with no Python-level
+code; a basis pair must still hold a Permutation, not a bare tuple.
 Coefficients live in Z[s^±1, c^±1, d^±1]: ``s`` from crossing resolutions
 (hbar = s - s^-1), ``c`` from sliding across the puncture, and ``d`` from
 ends sliding past each other on the target curves.
@@ -58,7 +61,6 @@ polynomials, and :func:`act_word` runs the shared word dispatcher
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import add, index
 from typing import Iterable, Iterator, Sequence
 
@@ -71,46 +73,42 @@ from .words import GeneratorWord, apply_word
 ExponentVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(tuple):
     """An element of S_kappa in one-line image notation, 1-based.
 
-    The hash is computed once, because permutations are dict keys in every
-    basis pair.
+    A permutation is the tuple of its images, so it hashes, compares, sorts
+    and pickles as that tuple does, and equals the plain tuple of the same
+    images.  Only a :class:`Permutation` is a valid basis-pair permutation,
+    though: :meth:`SkeinElement._check_key` rejects a bare tuple.
     """
 
-    images: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        images = tuple(map(index, self.images))
-        kappa = len(images)
-        if kappa < 1 or sorted(images) != list(range(1, kappa + 1)):
-            raise ValueError(f"{self.images} is not a permutation of 1..{kappa}")
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_hash", hash(images))
+    def __new__(cls, images: Iterable[int]) -> "Permutation":
+        checked = tuple(map(index, images))
+        kappa = len(checked)
+        if kappa < 1 or sorted(checked) != list(range(1, kappa + 1)):
+            raise ValueError(f"{images} is not a permutation of 1..{kappa}")
+        return tuple.__new__(cls, checked)
 
-    @classmethod
-    def _raw(cls, images: tuple[int, ...]) -> "Permutation":
-        """Wrap images already known to form a permutation (internal fast path)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "images", images)
-        object.__setattr__(obj, "_hash", hash(images))
-        return obj
-
-    def __hash__(self) -> int:
-        return self._hash
+    # Wrap images already known to form a permutation (internal fast path):
+    # ``Permutation._raw(Permutation, images)``.
+    _raw = tuple.__new__
 
     @classmethod
     def identity(cls, kappa: int) -> "Permutation":
         return cls(tuple(range(1, kappa + 1)))
 
     @property
+    def images(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    @property
     def size(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __call__(self, j: int) -> int:
-        return self.images[j - 1]
+        return self[j - 1]
 
     def precompose_swap(self, i: int) -> "Permutation":
         """Compose with the transposition of positions i, i+1 acting first.
@@ -120,14 +118,17 @@ class Permutation:
         at positions i, i+1 flips, which is what the two-case braid rule
         needs.  Applying it twice returns the original permutation.
         """
-        if not 1 <= i <= self.size - 1:
-            raise IndexError(f"swap index {i} out of range for size {self.size}")
-        images = list(self.images)
+        if not 1 <= i <= len(self) - 1:
+            raise IndexError(f"swap index {i} out of range for size {len(self)}")
+        images = list(self)
         images[i - 1], images[i] = images[i], images[i - 1]
-        return Permutation._raw(tuple(images))
+        return self._raw(Permutation, images)
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={tuple(self)!r})"
 
     def __str__(self) -> str:
-        return "[" + " ".join(str(v) for v in self.images) + "]"
+        return "[" + " ".join(map(str, self)) + "]"
 
 
 def all_permutations(kappa: int) -> Iterator[Permutation]:
@@ -156,10 +157,6 @@ class SkeinElement(SparseCombination):
         if len(key[0]) != kappa or perm.size != kappa:
             raise ValueError(f"basis pair {key} does not match kappa={kappa}")
         return key
-
-    @staticmethod
-    def _sort_key(key: BasisKey) -> tuple:
-        return key[0], key[1].images
 
     @staticmethod
     def _format_key(key: BasisKey) -> str:
@@ -324,7 +321,7 @@ def act_y1(v: SkeinElement) -> SkeinElement:
     by the braid chain s_{kappa-1}^-1 first, s_1^-1 last.
     """
     result = SkeinElement._raw(v.kappa, {
-        (exps[1:] + exps[:1], Permutation._raw(perm.images[1:] + perm.images[:1])):
+        (exps[1:] + exps[:1], Permutation._raw(Permutation, perm[1:] + perm[:1])):
             coeff * c_power(2 * exps[0])
         for (exps, perm), coeff in v.terms.items()
     })
@@ -339,7 +336,7 @@ def act_y1_inv(v: SkeinElement) -> SkeinElement:
     for i in range(1, v.kappa):
         v = act_sigma(i, v)
     return SkeinElement._raw(v.kappa, {
-        (exps[-1:] + exps[:-1], Permutation._raw(perm.images[-1:] + perm.images[:-1])):
+        (exps[-1:] + exps[:-1], Permutation._raw(Permutation, perm[-1:] + perm[:-1])):
             coeff * c_power(-2 * exps[-1])
         for (exps, perm), coeff in v.terms.items()
     })

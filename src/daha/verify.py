@@ -26,7 +26,7 @@ the first counterexample, so a systematic error is visible in full.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 from . import polyrep
@@ -42,9 +42,6 @@ class Counterexample:
     input: str
     lhs: str
     rhs: str
-
-    def to_dict(self) -> dict:
-        return {"word": self.word, "input": self.input, "lhs": self.lhs, "rhs": self.rhs}
 
 
 @dataclass(frozen=True)
@@ -68,17 +65,7 @@ class CheckReport:
         return self.failures == 0
 
     def to_dict(self) -> dict:
-        record = {
-            "label": self.label,
-            "kappa": self.kappa,
-            "cases": self.cases,
-            "failures": self.failures,
-            "seed": self.seed,
-        }
-        record["counterexample"] = (
-            self.counterexample.to_dict() if self.counterexample else None
-        )
-        return record
+        return asdict(self)
 
 
 class _Tally:

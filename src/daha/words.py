@@ -233,97 +233,41 @@ class RelationPair:
         return self.lhs[0][1].kappa
 
 
-def _word(kappa: int, letters) -> GeneratorWord:
-    return GeneratorWord(kappa, letters)
-
-
-def _plain(number: int, label: str, lhs: GeneratorWord, rhs: GeneratorWord) -> RelationPair:
-    one = ScalarPoly.one()
-    return RelationPair(number, label, ((one, lhs),), ((one, rhs),))
-
-
 def relation_table(kappa: int) -> list[RelationPair]:
     """All instances of the nine defining relations valid for this kappa.
 
-    Relation 8 is quadratic: it is stored as s_i s_i on the left against
-    ``hbar * s_i + 1`` on the right.  Relation 9 carries the scalar c^2 and
-    for kappa = 1 degenerates to ``x1^-1 y1 x1 y1^-1 = c^2``.
+    Each side is written in the word language and built with
+    :func:`parse_word`: a plain word stands for itself with coefficient 1,
+    a tuple lists (coefficient, word) terms.  Relation 8 is quadratic: it is
+    stored as s_i s_i on the left against ``hbar * s_i + 1`` on the right.
+    Relation 9 carries the scalar c^2 and for kappa = 1 degenerates to
+    ``x1^-1 y1 x1 y1^-1 = c^2``.
     """
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     one = ScalarPoly.one()
-    relations: list[RelationPair] = []
-
-    def s(i: int, sign: int = 1) -> GeneratorLetter:
-        return GeneratorLetter("s", i, sign)
-
-    x1 = GeneratorLetter("x", 1, 1)
-    y1 = GeneratorLetter("y", 1, 1)
-
+    rows: list[tuple] = []
     for i in range(1, kappa - 1):
         for j in range(i + 2, kappa):
-            relations.append(
-                _plain(1, f"R1(s{i},s{j})", _word(kappa, [s(i), s(j)]), _word(kappa, [s(j), s(i)]))
-            )
+            rows.append((1, f"R1(s{i},s{j})", f"s{i}*s{j}", f"s{j}*s{i}"))
     for i in range(1, kappa - 1):
-        relations.append(
-            _plain(
-                2,
-                f"R2(s{i})",
-                _word(kappa, [s(i), s(i + 1), s(i)]),
-                _word(kappa, [s(i + 1), s(i), s(i + 1)]),
-            )
-        )
+        rows.append((2, f"R2(s{i})", f"s{i}*s{i+1}*s{i}", f"s{i+1}*s{i}*s{i+1}"))
     for i in range(2, kappa):
-        relations.append(
-            _plain(3, f"R3(s{i})", _word(kappa, [s(i), x1]), _word(kappa, [x1, s(i)]))
-        )
+        rows.append((3, f"R3(s{i})", f"s{i}*x1", f"x1*s{i}"))
     for i in range(2, kappa):
-        relations.append(
-            _plain(4, f"R4(s{i})", _word(kappa, [s(i), y1]), _word(kappa, [y1, s(i)]))
-        )
+        rows.append((4, f"R4(s{i})", f"s{i}*y1", f"y1*s{i}"))
     if kappa >= 2:
-        relations.append(
-            _plain(
-                5,
-                "R5",
-                _word(kappa, [x1, s(1), x1, s(1)]),
-                _word(kappa, [s(1), x1, s(1), x1]),
-            )
-        )
-        relations.append(
-            _plain(
-                6,
-                "R6",
-                _word(kappa, [y1, s(1), y1, s(1)]),
-                _word(kappa, [s(1), y1, s(1), y1]),
-            )
-        )
-        relations.append(
-            _plain(
-                7,
-                "R7",
-                _word(kappa, [x1, s(1), y1, s(1, -1)]),
-                _word(kappa, [s(1), y1, s(1), x1]),
-            )
-        )
+        rows.append((5, "R5", "x1*s1*x1*s1", "s1*x1*s1*x1"))
+        rows.append((6, "R6", "y1*s1*y1*s1", "s1*y1*s1*y1"))
+        rows.append((7, "R7", "x1*s1*y1*s1^-1", "s1*y1*s1*x1"))
         for i in range(1, kappa):
-            relations.append(
-                RelationPair(
-                    8,
-                    f"R8(s{i})",
-                    ((one, _word(kappa, [s(i), s(i)])),),
-                    ((hbar(), _word(kappa, [s(i)])), (one, GeneratorWord.identity(kappa))),
-                )
-            )
-    torus_lhs = _word(kappa, [x1.inverse(), y1, x1, y1.inverse()])
-    sigma_out_and_back = _sigma_run(range(1, kappa)) + _sigma_run(range(kappa - 1, 0, -1))
-    relations.append(
-        RelationPair(
-            9,
-            "R9",
-            ((one, torus_lhs),),
-            ((c_power(2), _word(kappa, sigma_out_and_back)),),
-        )
-    )
-    return relations
+            rows.append((8, f"R8(s{i})", f"s{i}*s{i}", ((hbar(), f"s{i}"), (one, ""))))
+    sigma_out_and_back = [*range(1, kappa), *range(kappa - 1, 0, -1)]
+    rows.append((9, "R9", "x1^-1*y1*x1*y1^-1",
+                 ((c_power(2), "*".join(f"s{i}" for i in sigma_out_and_back)),)))
+
+    def side(spec) -> Side:
+        terms = ((one, spec),) if isinstance(spec, str) else spec
+        return tuple((coeff, parse_word(text, kappa)) for coeff, text in terms)
+
+    return [RelationPair(number, label, side(lhs), side(rhs)) for number, label, lhs, rhs in rows]

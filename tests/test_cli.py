@@ -7,6 +7,7 @@ import json
 import pytest
 
 from daha import CheckReport, Counterexample, LaurentPoly
+from daha._tokens import MAX_INT_DIGITS
 from daha.cli import main
 from daha.words import MAX_WORD_LETTERS
 
@@ -160,3 +161,17 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--kappa", "1", "--word-len", "3")
         assert code == 0
         assert "skein:" in out
+
+
+class TestIntegerTokens:
+    def test_superscript_digit_exits_two_with_a_position(self, capsys):
+        code, _, err = run(capsys, "eval", "--rep", "poly", "--kappa", "1",
+                           "--word", "", "--elem", "X1^²")
+        assert code == 2
+        assert "unexpected character '²' (at position 3)" in err
+
+    def test_exponent_over_the_digit_cap_exits_two_with_a_position(self, capsys):
+        code, _, err = run(capsys, "eval", "--rep", "poly", "--kappa", "2",
+                           "--word", "s1^" + "9" * (MAX_INT_DIGITS + 1), "--elem", "1")
+        assert code == 2
+        assert f"longer than {MAX_INT_DIGITS} digits (at position 3)" in err

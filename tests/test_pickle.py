@@ -1,0 +1,54 @@
+"""Values survive a pickle round trip, so they can be shared between processes.
+
+Unpickling a :class:`~daha.Permutation` goes through its validating
+constructor, because it is a tuple subclass.  The slotted value classes
+pickle from protocol 2 on, the protocols that know ``__slots__``.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+
+from daha import (
+    LaurentPoly, Permutation, ScalarPoly, SkeinElement, c_power, hbar, parse_laurent,
+    parse_skein, parse_word,
+)
+
+
+VALUES = [
+    Permutation((2, 3, 1)),
+    Permutation.identity(1),
+    parse_skein("c^4*(a1^-1*a2^2,[1 2]) - d*(a1,[2 1])", 2),
+    SkeinElement.zero(3),
+    parse_laurent("(s + s^-1)*X1^2*X2^-1 + c^2*X2", 2),
+    LaurentPoly.zero(1),
+    hbar() * c_power(-2) + ScalarPoly.integer(3),
+    ScalarPoly.zero(),
+    parse_word("x1^-1*y1*x1*y1^-1*s1^2", 2),
+    parse_word("", 3),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: f"{type(v).__name__}:{v}")
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_round_trip(value, protocol):
+    copy = pickle.loads(pickle.dumps(value, protocol))
+    assert type(copy) is type(value)
+    assert copy == value
+    assert str(copy) == str(value)
+
+
+def test_unpickled_keys_hold_permutations():
+    element = pickle.loads(pickle.dumps(parse_skein("(a1,[2 1]) + 3*(1,[1 2])", 2)))
+    assert all(type(perm) is Permutation for _, perm in element.terms)
+
+
+def test_unpickling_validates_a_permutation():
+    # Rewrite the pickled images (2, 1) as (2, 2): BININT1 opcodes ``K``.
+    data = pickle.dumps(Permutation((2, 1)))
+    forged = data.replace(b"K\x02K\x01", b"K\x02K\x02")
+    assert forged != data
+    with pytest.raises(ValueError, match="not a permutation"):
+        pickle.loads(forged)

@@ -134,6 +134,14 @@ class TestPermutation:
     def test_str(self):
         assert str(T2) == "[2 1]"
 
+    def test_is_the_tuple_of_its_images(self):
+        perm = Permutation((2, 3, 1))
+        assert perm == (2, 3, 1) and hash(perm) == hash((2, 3, 1))
+        assert perm.images == (2, 3, 1) and type(perm.images) is tuple
+        assert repr(perm) == "Permutation(images=(2, 3, 1))"
+        with pytest.raises(TypeError, match=r"not an \(exponents, Permutation\) pair"):
+            SkeinElement(3, [(((0, 0, 0), (2, 3, 1)), 1)])
+
 
 class TestLoopLetters:
     def test_increments_exponent(self):

@@ -119,7 +119,50 @@ class TestExpansion:
             expand_y(3, 2)
 
 
+def table_text(kappa: int) -> list[tuple]:
+    """relation_table(kappa) as (number, label, lhs, rhs), each side a tuple
+    of (printed coefficient, printed word)."""
+    return [
+        (r.number, r.label,
+         tuple((str(c), str(w)) for c, w in r.lhs),
+         tuple((str(c), str(w)) for c, w in r.rhs))
+        for r in relation_table(kappa)
+    ]
+
+
+# Every relation of the kappa = 4 and kappa = 2 tables, pinned as text.
+HBAR = "s - s^-1"
+TABLE_TWO_TAIL = [
+    (5, "R5", (("1", "x1*s1*x1*s1"),), (("1", "s1*x1*s1*x1"),)),
+    (6, "R6", (("1", "y1*s1*y1*s1"),), (("1", "s1*y1*s1*y1"),)),
+    (7, "R7", (("1", "x1*s1*y1*s1^-1"),), (("1", "s1*y1*s1*x1"),)),
+    (8, "R8(s1)", (("1", "s1^2"),), ((HBAR, "s1"), ("1", ""))),
+]
+TABLE_TWO = TABLE_TWO_TAIL + [
+    (9, "R9", (("1", "x1^-1*y1*x1*y1^-1"),), (("c^2", "s1^2"),)),
+]
+TABLE_FOUR = [
+    (1, "R1(s1,s3)", (("1", "s1*s3"),), (("1", "s3*s1"),)),
+    (2, "R2(s1)", (("1", "s1*s2*s1"),), (("1", "s2*s1*s2"),)),
+    (2, "R2(s2)", (("1", "s2*s3*s2"),), (("1", "s3*s2*s3"),)),
+    (3, "R3(s2)", (("1", "s2*x1"),), (("1", "x1*s2"),)),
+    (3, "R3(s3)", (("1", "s3*x1"),), (("1", "x1*s3"),)),
+    (4, "R4(s2)", (("1", "s2*y1"),), (("1", "y1*s2"),)),
+    (4, "R4(s3)", (("1", "s3*y1"),), (("1", "y1*s3"),)),
+    *TABLE_TWO_TAIL,
+    (8, "R8(s2)", (("1", "s2^2"),), ((HBAR, "s2"), ("1", ""))),
+    (8, "R8(s3)", (("1", "s3^2"),), ((HBAR, "s3"), ("1", ""))),
+    (9, "R9", (("1", "x1^-1*y1*x1*y1^-1"),), (("c^2", "s1*s2*s3^2*s2*s1"),)),
+]
+
+
 class TestRelationTable:
+    def test_kappa_four_as_text(self):
+        assert table_text(4) == TABLE_FOUR
+
+    def test_kappa_two_as_text(self):
+        assert table_text(2) == TABLE_TWO
+
     def test_braid_relation_instance(self):
         table = {r.label: r for r in relation_table(3)}
         relation = table["R2(s1)"]
