@@ -106,14 +106,14 @@ class TokenStream:
         raise ParseError(message, self.peek().pos)
 
 
-def parse_signed_int(ts: TokenStream, what: str = "integer") -> int:
-    """Parse an optionally signed integer, e.g. the exponent after ``^``."""
+def parse_signed_int(ts: TokenStream) -> int:
+    """Parse the optionally signed integer exponent after ``^``."""
     sign = 1
     if ts.accept("-"):
         sign = -1
     elif ts.accept("+"):
         pass
-    tok = ts.expect("int", what)
+    tok = ts.expect("int", "exponent")
     return sign * int(tok.text)
 
 

@@ -28,11 +28,11 @@ divisor part ``X_i * X_{i+1}^-1``.
 The number of variables (the rank) travels with every value and binary
 operations refuse to mix ranks; there is no broadcasting.
 
-A product with a one-term factor (as in ``x_i``, the s_i^-1 of the
-polynomial representation and the certification of :func:`exact_divide`)
-shifts the exponent vectors injectively and multiplies coefficients in an
-integral domain, so it is built in one pass with no term merging or
-cancelling.
+A product whose right factor is one term with coefficient 1 (as in ``x_i``,
+the s_i^-1 of the polynomial representation and the certification of
+:func:`exact_divide`) only shifts the exponent vectors, injectively, so it is
+built in one pass with no term merging or cancelling.  Every other product
+takes the general loop.
 """
 
 from __future__ import annotations
@@ -91,6 +91,10 @@ class SparseCombination:
             (self._check_key(rank, key), c if isinstance(c, ScalarPoly) else ScalarPoly.integer(c))
             for key, c in items
         ))
+
+    def __reduce__(self):
+        # Unpickle through the validating constructor, under every protocol.
+        return type(self), (self._rank, self._terms)
 
     @classmethod
     def _raw(cls, rank: int, data: dict):
@@ -275,27 +279,19 @@ class LaurentPoly(SparseCombination):
             return NotImplemented
         self._check_rank(other)
         if len(other._terms) == 1:
-            poly, unit = self, other
-        elif len(self._terms) == 1:
-            poly, unit = other, self
-        else:
-            data: dict[ExponentVector, ScalarPoly] = {}
-            for a_key, a_coeff in self._terms.items():
-                accumulate(data, (
-                    (tuple(map(add, a_key, b_key)), b_coeff) for b_key, b_coeff in other._terms.items()
-                ), a_coeff)
-            return LaurentPoly._raw(self._rank, data)
-        # One-term factor: an injective key shift, and coefficient products
-        # that cannot vanish over an integral domain, so nothing merges or
-        # cancels.
-        ((shift, factor),) = unit._terms.items()
-        if factor.is_one():
-            return LaurentPoly._raw(self._rank, {
-                tuple(map(add, key, shift)): coeff for key, coeff in poly._terms.items()
-            })
-        return LaurentPoly._raw(self._rank, {
-            tuple(map(add, key, shift)): coeff * factor for key, coeff in poly._terms.items()
-        })
+            ((shift, factor),) = other._terms.items()
+            if factor.is_one():
+                # A one-term right factor with coefficient 1 is an injective
+                # key shift, so nothing merges or cancels.
+                return LaurentPoly._raw(self._rank, {
+                    tuple(map(add, key, shift)): coeff for key, coeff in self._terms.items()
+                })
+        data: dict[ExponentVector, ScalarPoly] = {}
+        for a_key, a_coeff in self._terms.items():
+            accumulate(data, (
+                (tuple(map(add, a_key, b_key)), b_coeff) for b_key, b_coeff in other._terms.items()
+            ), a_coeff)
+        return LaurentPoly._raw(self._rank, data)
 
     __rmul__ = __mul__
 
@@ -385,9 +381,6 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
     """
     _check_adjacent_index(i, f.rank)
     idx = i - 1
-    if f.is_zero():
-        return f
-
     groups: dict[tuple, dict[int, ScalarPoly]] = {}
     for key, coeff in f.terms.items():
         cls = key[:idx] + (key[idx] + key[idx + 1],) + key[idx + 2 :]
@@ -469,7 +462,7 @@ def _parse_laurent_term(ts: TokenStream, rank: int, sign: int) -> tuple[Exponent
             if not 1 <= tok.index <= rank:
                 ts.fail(f"variable index {tok.index} out of range for rank {rank}")
             ts.advance()
-            exp = parse_signed_int(ts, "exponent") if ts.accept("^") else 1
+            exp = parse_signed_int(ts) if ts.accept("^") else 1
             exps[tok.index - 1] += exp
         elif tok.kind == "(":
             ts.advance()

@@ -57,6 +57,10 @@ class ScalarPoly:
                 data.pop(key, None)
         self._terms = data
 
+    def __reduce__(self):
+        # Unpickle through the validating constructor, under every protocol.
+        return ScalarPoly, (self._terms,)
+
     @classmethod
     def _raw(cls, data: dict[ExponentTriple, int]) -> "ScalarPoly":
         """Wrap a dict already known to be canonical (internal fast path)."""
@@ -309,7 +313,7 @@ def parse_scalar_factor(ts: TokenStream) -> ScalarPoly | None:
         return ScalarPoly.integer(int(tok.text))
     if tok.kind == "name" and tok.letter in _VAR_NAMES and tok.index is None:
         ts.advance()
-        exp = parse_signed_int(ts, "exponent") if ts.accept("^") else 1
+        exp = parse_signed_int(ts) if ts.accept("^") else 1
         triple = [0, 0, 0]
         triple[_VAR_NAMES.index(tok.letter)] = exp
         return ScalarPoly.monomial(*triple)

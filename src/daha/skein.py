@@ -76,10 +76,10 @@ ExponentVector = tuple[int, ...]
 class Permutation(tuple):
     """An element of S_kappa in one-line image notation, 1-based.
 
-    A permutation is the tuple of its images, so it hashes, compares, sorts
-    and pickles as that tuple does, and equals the plain tuple of the same
-    images.  Only a :class:`Permutation` is a valid basis-pair permutation,
-    though: :meth:`SkeinElement._check_key` rejects a bare tuple.
+    A permutation is the tuple of its images, so it hashes, compares and
+    sorts as that tuple does, and equals the plain tuple of the same images.
+    Only a :class:`Permutation` is a valid basis-pair permutation, though:
+    :meth:`SkeinElement._check_key` rejects a bare tuple.
     """
 
     __slots__ = ()
@@ -90,6 +90,10 @@ class Permutation(tuple):
         if kappa < 1 or sorted(checked) != list(range(1, kappa + 1)):
             raise ValueError(f"{images} is not a permutation of 1..{kappa}")
         return tuple.__new__(cls, checked)
+
+    def __reduce__(self):
+        # Unpickle through the validating constructor, under every protocol.
+        return Permutation, (tuple(self),)
 
     # Wrap images already known to form a permutation (internal fast path):
     # ``Permutation._raw(Permutation, images)``.
@@ -190,22 +194,13 @@ class SkeinElement(SparseCombination):
     def scale(self, coeff: ScalarPoly | int) -> "SkeinElement":
         return self._scale(coeff)
 
-    def shift_exponents(self, offset: Sequence[int], coeff: ScalarPoly | int = 1) -> "SkeinElement":
-        """Multiply by the a-monomial with the given exponent offset."""
-        if isinstance(coeff, int):
-            coeff = ScalarPoly.integer(coeff)
-        if coeff.is_zero():
-            return SkeinElement._raw(self._rank, {})
-        # A translation of the exponent vectors is injective and nonzero
-        # times nonzero is nonzero, so no terms merge or cancel.
-        if coeff.is_one():
-            return SkeinElement._raw(self._rank, {
-                (tuple(map(add, exps, offset)), perm): old
-                for (exps, perm), old in self._terms.items()
-            })
+    def shift_exponents(self, offset: Sequence[int]) -> "SkeinElement":
+        """Multiply by the a-monomial with the given exponent offset and
+        coefficient 1.  A translation of the exponent vectors is injective,
+        so no terms merge or cancel."""
         return SkeinElement._raw(self._rank, {
-            (tuple(map(add, exps, offset)), perm): old * coeff
-            for (exps, perm), old in self._terms.items()
+            (tuple(map(add, exps, offset)), perm): coeff
+            for (exps, perm), coeff in self._terms.items()
         })
 
     def multiply_by_a_poly(self, poly: LaurentPoly) -> "SkeinElement":
@@ -420,7 +415,7 @@ def _parse_basis_pair(ts: TokenStream, kappa: int) -> tuple[ExponentVector, Perm
             if not 1 <= tok.index <= kappa:
                 ts.fail(f"variable index {tok.index} out of range for kappa {kappa}")
             ts.advance()
-            exp = parse_signed_int(ts, "exponent") if ts.accept("^") else 1
+            exp = parse_signed_int(ts) if ts.accept("^") else 1
             exps[tok.index - 1] += exp
             if not ts.accept("*"):
                 break
@@ -433,4 +428,4 @@ def _parse_basis_pair(ts: TokenStream, kappa: int) -> tuple[ExponentVector, Perm
     if len(images) != kappa or sorted(images) != list(range(1, kappa + 1)):
         ts.fail(f"{images} is not a permutation of 1..{kappa}")
     ts.expect(")", "')'")
-    return tuple(exps), Permutation(tuple(images))
+    return tuple(exps), Permutation._raw(Permutation, images)

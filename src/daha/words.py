@@ -61,66 +61,51 @@ def _max_index(kind: str, kappa: int) -> int:
     return kappa - 1 if kind == "s" else kappa
 
 
+@dataclass(frozen=True, slots=True)
 class GeneratorWord:
     """A finite sequence of letters; the empty sequence is the identity."""
 
-    __slots__ = ("_kappa", "_letters")
+    kappa: int
+    letters: tuple[GeneratorLetter, ...] = ()
 
-    def __init__(self, kappa: int, letters: Iterable[GeneratorLetter] = ()):
-        if kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {kappa}")
-        letters = tuple(letters)
+    def __post_init__(self):
+        if self.kappa < 1:
+            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
+        letters = tuple(self.letters)
         for letter in letters:
-            if letter.index > _max_index(letter.kind, kappa):
+            if letter.index > _max_index(letter.kind, self.kappa):
                 raise ValueError(
-                    f"letter {letter} index out of range for kappa={kappa}"
+                    f"letter {letter} index out of range for kappa={self.kappa}"
                 )
-        self._kappa = kappa
-        self._letters = letters
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def identity(cls, kappa: int) -> "GeneratorWord":
         return cls(kappa)
 
-    @property
-    def kappa(self) -> int:
-        return self._kappa
-
-    @property
-    def letters(self) -> tuple[GeneratorLetter, ...]:
-        return self._letters
-
     def __len__(self) -> int:
-        return len(self._letters)
+        return len(self.letters)
 
     def __iter__(self):
-        return iter(self._letters)
+        return iter(self.letters)
 
     def __mul__(self, other: "GeneratorWord") -> "GeneratorWord":
         if not isinstance(other, GeneratorWord):
             return NotImplemented
-        if self._kappa != other._kappa:
-            raise ValueError(f"cannot concatenate words with kappa {self._kappa} and {other._kappa}")
-        return GeneratorWord(self._kappa, self._letters + other._letters)
+        if self.kappa != other.kappa:
+            raise ValueError(f"cannot concatenate words with kappa {self.kappa} and {other.kappa}")
+        return GeneratorWord(self.kappa, self.letters + other.letters)
 
     def inverse(self) -> "GeneratorWord":
-        return GeneratorWord(self._kappa, tuple(l.inverse() for l in reversed(self._letters)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GeneratorWord):
-            return NotImplemented
-        return self._kappa == other._kappa and self._letters == other._letters
-
-    def __hash__(self) -> int:
-        return hash((self._kappa, self._letters))
+        return GeneratorWord(self.kappa, tuple(l.inverse() for l in reversed(self.letters)))
 
     def __str__(self) -> str:
         # Compress runs of an identical letter into ^n; parsing re-expands.
-        if not self._letters:
+        if not self.letters:
             return ""
         pieces = []
-        run_letter, run_len = self._letters[0], 1
-        for letter in self._letters[1:]:
+        run_letter, run_len = self.letters[0], 1
+        for letter in self.letters[1:]:
             if letter == run_letter:
                 run_len += 1
                 continue
@@ -130,7 +115,7 @@ class GeneratorWord:
         return "*".join(pieces)
 
     def __repr__(self) -> str:
-        return f"<GeneratorWord kappa={self._kappa} {str(self) or '(identity)'}>"
+        return f"<GeneratorWord kappa={self.kappa} {str(self) or '(identity)'}>"
 
 
 def _run_string(letter: GeneratorLetter, run_len: int) -> str:
@@ -161,7 +146,7 @@ def parse_word(text: str, kappa: int) -> GeneratorWord:
         if not 1 <= tok.index <= _max_index(tok.letter, kappa):
             ts.fail(f"index out of range: {tok.text!r} is not valid for kappa={kappa}")
         ts.advance()
-        exp = parse_signed_int(ts, "exponent") if ts.accept("^") else 1
+        exp = parse_signed_int(ts) if ts.accept("^") else 1
         if len(letters) + abs(exp) > MAX_WORD_LETTERS:
             raise ParseError(f"word expands to more than {MAX_WORD_LETTERS} letters", tok.pos)
         sign = 1 if exp >= 0 else -1

@@ -1,8 +1,10 @@
 """Values survive a pickle round trip, so they can be shared between processes.
 
-Unpickling a :class:`~daha.Permutation` goes through its validating
-constructor, because it is a tuple subclass.  The slotted value classes
-pickle from protocol 2 on, the protocols that know ``__slots__``.
+Every value class pickles under every protocol.  Unpickling a
+:class:`~daha.ScalarPoly`, :class:`~daha.LaurentPoly`,
+:class:`~daha.SkeinElement` or :class:`~daha.Permutation` goes through its
+validating constructor, so a forged pickle cannot build a non-canonical
+value.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ VALUES = [
 
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: f"{type(v).__name__}:{v}")
-@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("protocol", range(0, pickle.HIGHEST_PROTOCOL + 1))
 def test_round_trip(value, protocol):
     copy = pickle.loads(pickle.dumps(value, protocol))
     assert type(copy) is type(value)
@@ -52,3 +54,23 @@ def test_unpickling_validates_a_permutation():
     assert forged != data
     with pytest.raises(ValueError, match="not a permutation"):
         pickle.loads(forged)
+
+
+def test_unpickling_validates_a_permutation_under_protocol_0():
+    # Protocol 0 writes integers as text (``I2\n``), and rebuilds a plain
+    # tuple subclass without calling its constructor unless told otherwise.
+    data = pickle.dumps(Permutation((2, 1)), 0)
+    forged = data.replace(b"I2\nI1\n", b"I2\nI2\n")
+    assert forged != data
+    with pytest.raises(ValueError, match="not a permutation"):
+        pickle.loads(forged)
+
+
+def test_unpickling_canonicalizes_a_scalar():
+    # Rewrite the coefficient 3 of ScalarPoly.integer(3) as 0.  The
+    # constructor prunes the zero term, so the value is the canonical zero.
+    data = pickle.dumps(ScalarPoly.integer(3), 2)
+    assert data.count(b"K\x03") == 1
+    copy = pickle.loads(data.replace(b"K\x03", b"K\x00"))
+    assert copy.is_zero()
+    assert copy == ScalarPoly.zero()
