@@ -93,10 +93,10 @@ class TokenStream:
             return self.advance()
         return None
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            self.fail(f"expected {what or kind!r}, found {tok.text or 'end of input'!r}")
+            self.fail(f"expected {what!r}, found {tok.text or 'end of input'!r}")
         return self.advance()
 
     def at_end(self) -> bool:

@@ -24,6 +24,7 @@ import json
 import random
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__, polyrep, verify
 from . import skein as skein_mod
@@ -182,7 +183,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.format == "json-lines":
         print(json.dumps(header, sort_keys=True))
         for report in reports:
-            record = {"record": "check", **report.to_dict()}
+            record = {"record": "check", **asdict(report)}
             print(json.dumps(record, sort_keys=True))
     else:
         meta = " ".join(f"{k}={v}" for k, v in header.items() if k != "record" and v is not None)

@@ -136,8 +136,6 @@ class SparseCombination:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_rank(other)
-        if not self._terms:
-            return other
         if not other._terms:
             return self
         data = dict(self._terms)

@@ -114,8 +114,6 @@ class ScalarPoly:
             return NotImplemented
         if not self._terms:
             return other
-        if not other._terms:
-            return self
         data = dict(self._terms)
         for key, coeff in other._terms.items():
             total = data.get(key, 0) + coeff
@@ -170,19 +168,6 @@ class ScalarPoly:
         })
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "ScalarPoly":
-        if n < 0:
-            raise ValueError("negative powers are only defined for monomial units; "
-                             "build them with ScalarPoly.monomial")
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScalarPoly):

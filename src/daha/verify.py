@@ -26,7 +26,7 @@ the first counterexample, so a systematic error is visible in full.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product
 
 from . import polyrep
@@ -63,9 +63,6 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return self.failures == 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class _Tally:
@@ -166,17 +163,14 @@ def single_generator_words(kappa: int) -> list[GeneratorWord]:
     return words
 
 
-def random_word(kappa: int, rng: random.Random, max_len: int,
-                alphabet: list[GeneratorLetter] | None = None) -> GeneratorWord:
-    alphabet = alphabet if alphabet is not None else default_alphabet(kappa)
-    length = rng.randint(1, max_len)
-    return GeneratorWord(kappa, [rng.choice(alphabet) for _ in range(length)])
-
-
-def random_words(kappa: int, count: int, max_len: int, seed: int,
-                 alphabet: list[GeneratorLetter] | None = None) -> list[GeneratorWord]:
+def random_words(kappa: int, count: int, max_len: int, seed: int) -> list[GeneratorWord]:
+    """Seeded words of 1..max_len letters drawn from :func:`default_alphabet`."""
     rng = random.Random(seed)
-    return [random_word(kappa, rng, max_len, alphabet) for _ in range(count)]
+    alphabet = default_alphabet(kappa)
+    return [
+        GeneratorWord(kappa, [rng.choice(alphabet) for _ in range(rng.randint(1, max_len))])
+        for _ in range(count)
+    ]
 
 
 # -- checks ----------------------------------------------------------------------
@@ -207,15 +201,12 @@ def default_relation_bound(kappa: int, rep: str) -> int:
 def check_relations(
     kappa: int,
     rep: str,
-    inputs: list | None = None,
+    inputs: list,
     relations: list[RelationPair] | None = None,
 ) -> list[CheckReport]:
     """Evaluate both sides of every defining relation on every input through
     the chosen representation ('poly' or 'skein'); exact comparison."""
     act = _act(rep)
-    if inputs is None:
-        bound = default_relation_bound(kappa, rep)
-        inputs = monomial_grid(kappa, bound) if rep == "poly" else basis_grid(kappa, bound)
     if relations is None:
         relations = relation_table(kappa)
     reports = []
@@ -233,7 +224,6 @@ def check_intertwiner(
     kappa: int,
     words: list[GeneratorWord],
     monomials: list[LaurentPoly],
-    label: str = "intertwiner",
     seed: int | None = None,
 ) -> CheckReport:
     """Check symmetrize(word . f) == (word . symmetrize(f)) at d = s."""
@@ -243,14 +233,13 @@ def check_intertwiner(
             lhs = symmetrize(polyrep.act_word(word, f))
             rhs = skein_mod.act_word(word, symmetrize(f)).substitute_d_eq_s()
             tally.record(lhs == rhs, str(word), f, lhs, rhs)
-    return tally.report(label, kappa, seed)
+    return tally.report("intertwiner", kappa, seed)
 
 
 def check_subrep_closure(
     kappa: int,
     words: list[GeneratorWord],
     monomials: list[LaurentPoly],
-    label: str = "subrep",
     seed: int | None = None,
 ) -> CheckReport:
     """Check that the d = s skein action keeps symmetrized elements inside
@@ -259,7 +248,7 @@ def check_subrep_closure(
     for word, f in zip(words, monomials):
         image = skein_mod.act_word(word, symmetrize(f)).substitute_d_eq_s()
         tally.record(is_permutation_uniform(image), str(word), f, image, "<permutation-uniform>")
-    return tally.report(label, kappa, seed)
+    return tally.report("subrep", kappa, seed)
 
 
 def check_averaging_eigenvalue(kappa: int) -> CheckReport:

@@ -50,6 +50,10 @@ class GeneratorLetter:
         if self.index < 1:
             raise ValueError(f"letter index must be >= 1, got {self.index}")
 
+    def __reduce__(self):
+        # Unpickle through the validating constructor, under every protocol.
+        return GeneratorLetter, (self.kind, self.index, self.sign)
+
     def inverse(self) -> "GeneratorLetter":
         return GeneratorLetter(self.kind, self.index, -self.sign)
 
@@ -79,15 +83,16 @@ class GeneratorWord:
                 )
         object.__setattr__(self, "letters", letters)
 
+    def __reduce__(self):
+        # Unpickle through the validating constructor, under every protocol.
+        return GeneratorWord, (self.kappa, self.letters)
+
     @classmethod
     def identity(cls, kappa: int) -> "GeneratorWord":
         return cls(kappa)
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
 
     def __mul__(self, other: "GeneratorWord") -> "GeneratorWord":
         if not isinstance(other, GeneratorWord):
@@ -212,10 +217,6 @@ class RelationPair:
     label: str
     lhs: Side
     rhs: Side
-
-    @property
-    def kappa(self) -> int:
-        return self.lhs[0][1].kappa
 
 
 def relation_table(kappa: int) -> list[RelationPair]:

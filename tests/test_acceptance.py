@@ -31,11 +31,12 @@ from daha import polyrep
 from daha import skein as skein_mod
 from daha.skein import push_sigma_past_monomial
 from daha.verify import (
+    basis_grid,
     check_averaging_eigenvalue,
     check_intertwiner,
     check_relations,
     check_subrep_closure,
-    default_alphabet,
+    default_relation_bound,
     monomial_grid,
     random_words,
     single_generator_words,
@@ -96,7 +97,8 @@ def test_criterion_3_skein_relation_suite():
     failures = []
     cases = 0
     for kappa in (2, 3):
-        reports = check_relations(kappa, "skein")
+        reports = check_relations(
+            kappa, "skein", basis_grid(kappa, default_relation_bound(kappa, "skein")))
         cases += sum(r.cases for r in reports)
         failures += [r for r in reports if not r.passed]
     elapsed = time.perf_counter() - t0
@@ -118,14 +120,11 @@ def test_criterion_5_intertwining():
     parts = []
     for kappa in (1, 2, 3):
         parts.append(check_intertwiner(
-            kappa, single_generator_words(kappa), monomial_grid(kappa, 2),
-            label=f"generators k={kappa}"))
+            kappa, single_generator_words(kappa), monomial_grid(kappa, 2)))
     parts.append(check_intertwiner(
-        2, random_words(2, 200, 6, SEED, default_alphabet(2)), monomial_grid(2, 2),
-        label="random words k=2", seed=SEED))
+        2, random_words(2, 200, 6, SEED), monomial_grid(2, 2), seed=SEED))
     parts.append(check_intertwiner(
-        3, random_words(3, 50, 4, SEED + 1), monomial_grid(3, 2),
-        label="random words k=3", seed=SEED + 1))
+        3, random_words(3, 50, 4, SEED + 1), monomial_grid(3, 2), seed=SEED + 1))
     elapsed = time.perf_counter() - t0
     failures = sum(r.failures for r in parts)
     cases = sum(r.cases for r in parts)

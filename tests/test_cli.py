@@ -54,6 +54,12 @@ class TestEval:
         assert code == 2
         assert "error:" in err
 
+    def test_bad_kappa_exits_two(self, capsys):
+        code, _, err = run(capsys, "eval", "--rep", "poly", "--kappa", "0",
+                           "--word", "", "--elem", "1")
+        assert code == 2
+        assert "error: kappa must be >= 1" in err
+
     def test_word_over_the_length_cap_exits_two(self, capsys):
         code, _, err = run(capsys, "eval", "--rep", "poly", "--kappa", "2",
                            "--word", f"s1^{MAX_WORD_LETTERS + 1}", "--elem", "1")
@@ -156,6 +162,11 @@ class TestBench:
         lines = out.splitlines()
         assert lines[0].startswith("# bench kappa=2")
         assert lines[1].startswith("poly:") and lines[2].startswith("skein:")
+
+    def test_bad_count_exits_two(self, capsys):
+        code, _, err = run(capsys, "bench", "--kappa", "2", "--word-len", "2", "--count", "0")
+        assert code == 2
+        assert "error: kappa, word length and count must all be >= 1" in err
 
     def test_rank_one_fast_path(self, capsys):
         code, out, _ = run(capsys, "bench", "--kappa", "1", "--word-len", "3")

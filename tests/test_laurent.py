@@ -78,6 +78,12 @@ class TestRingOps:
         with pytest.raises(TypeError):
             LaurentPoly.monomial(2, (0, 0), value)
 
+    def test_constructor_rejects_bad_rank_and_exponent_length(self):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            LaurentPoly(0)
+        with pytest.raises(ValueError, match="has length 1, expected 2"):
+            LaurentPoly(2, {(1,): 1})
+
     def test_rank_mismatch_is_an_error(self):
         with pytest.raises(RankMismatchError):
             X(1, 1, 2) + X(1, 1, 3)
@@ -326,6 +332,8 @@ class TestTextFormat:
             parse_laurent("X1 +", 2)
         with pytest.raises(ParseError):
             parse_laurent("", 2)
+        with pytest.raises(ParseError, match=r"unexpected '\)' in polynomial"):
+            parse_laurent("X1 )", 2)
 
     @given(laurent_polys())
     def test_round_trip(self, f):
@@ -338,4 +346,4 @@ class TestTextFormat:
 
 
 def hbar2() -> ScalarPoly:
-    return (s_power(1) - s_power(-1)) ** 2
+    return (s_power(1) - s_power(-1)) * (s_power(1) - s_power(-1))

@@ -2,9 +2,10 @@
 
 Every value class pickles under every protocol.  Unpickling a
 :class:`~daha.ScalarPoly`, :class:`~daha.LaurentPoly`,
-:class:`~daha.SkeinElement` or :class:`~daha.Permutation` goes through its
-validating constructor, so a forged pickle cannot build a non-canonical
-value.
+:class:`~daha.SkeinElement`, :class:`~daha.Permutation`,
+:class:`~daha.GeneratorWord` or :class:`~daha.GeneratorLetter` goes through
+its validating constructor, so a forged pickle cannot build a non-canonical
+or invalid value.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pickle
 import pytest
 
 from daha import (
-    LaurentPoly, Permutation, ScalarPoly, SkeinElement, c_power, hbar, parse_laurent,
+    GeneratorLetter, LaurentPoly, Permutation, ScalarPoly, SkeinElement, c_power, hbar, parse_laurent,
     parse_skein, parse_word,
 )
 
@@ -30,6 +31,7 @@ VALUES = [
     ScalarPoly.zero(),
     parse_word("x1^-1*y1*x1*y1^-1*s1^2", 2),
     parse_word("", 3),
+    GeneratorLetter("y", 2, -1),
 ]
 
 
@@ -74,3 +76,19 @@ def test_unpickling_canonicalizes_a_scalar():
     copy = pickle.loads(data.replace(b"K\x03", b"K\x00"))
     assert copy.is_zero()
     assert copy == ScalarPoly.zero()
+
+
+def test_unpickling_validates_a_word():
+    # Rewrite kappa 2 as 1 (BININT1 ``K``): s1 needs at least two strands.
+    data = pickle.dumps(parse_word("s1", 2), 2)
+    assert data.count(b"K\x02") == 1
+    with pytest.raises(ValueError, match="out of range for kappa=1"):
+        pickle.loads(data.replace(b"K\x02", b"K\x01"))
+
+
+def test_unpickling_validates_a_letter():
+    # Rewrite the sign 1 of x3 as 5.
+    data = pickle.dumps(GeneratorLetter("x", 3, 1), 2)
+    assert data.count(b"K\x01") == 1
+    with pytest.raises(ValueError, match="sign must be"):
+        pickle.loads(data.replace(b"K\x01", b"K\x05"))

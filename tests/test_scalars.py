@@ -59,12 +59,6 @@ class TestArithmetic:
         assert hbar() * 2 == hbar() + hbar()
         assert 0 * hbar() == ZERO
 
-    def test_power(self):
-        assert hbar() ** 0 == ONE
-        assert hbar() ** 3 == hbar() * hbar() * hbar()
-        with pytest.raises(ValueError):
-            hbar() ** -1
-
     @pytest.mark.parametrize("exps", [(1, 2), (1, 2, 3, 4), ()])
     def test_wrong_length_exponent_triple_raises_value_error(self, exps):
         with pytest.raises(ValueError, match="exponent triple expected"):

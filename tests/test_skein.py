@@ -98,6 +98,10 @@ class TestPermutation:
                 swapped = perm.precompose_swap(i)
                 assert (perm(i) < perm(i + 1)) == (swapped(i) > swapped(i + 1))
 
+    def test_swap_index_range(self):
+        with pytest.raises(IndexError):
+            Permutation((1, 2)).precompose_swap(0)
+
     def test_rejects_non_bijections(self):
         for images in [(1, 1), (0, 1), (), (2,), (2, 2, 1)]:
             with pytest.raises(ValueError):
@@ -288,6 +292,10 @@ class TestBraidAction:
         ).scale(-hbar())
         assert act_sigma(1, SkeinElement.basis(2, (1, 0), E2)) == expected
 
+    def test_index_range(self):
+        with pytest.raises(IndexError):
+            act_sigma(3, unit(3, Permutation.identity(3)))
+
     def test_inverse_round_trip(self):
         v = SkeinElement.basis(2, (2, -1), T2)
         assert act_sigma_inv(1, act_sigma(1, v)) == v
@@ -414,6 +422,8 @@ class TestWordAction:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             act_word(parse_word("x1", 3), unit(2, E2))
+        with pytest.raises(RankMismatchError):
+            unit(2, E2).multiply_by_a_poly(LaurentPoly.one(3))
 
     def test_derived_loop_conjugation(self):
         # s_i x_i s_i = x_{i+1} and s_i y_i s_i = y_{i+1} as operator
@@ -494,6 +504,10 @@ class TestTextFormat:
         with pytest.raises(TypeError, match="basis pair"):
             SkeinElement(2, [(5, 1)])
 
+    def test_constructor_rejects_a_basis_pair_of_another_kappa(self):
+        with pytest.raises(ValueError, match="does not match kappa=3"):
+            SkeinElement(3, [(((0, 0), E2), 1)])
+
     def test_parse_error_names_the_bad_permutation(self):
         with pytest.raises(ParseError, match=r"\[1, 1\] is not a permutation of 1..2"):
             parse_skein("(a1,[1 1])", 2)
@@ -511,6 +525,12 @@ class TestTextFormat:
             parse_skein("c^2", 2)
         with pytest.raises(ParseError):
             parse_skein("(a1,[2 1])*(a2,[1 2])", 2)
+        with pytest.raises(ParseError, match=r"unexpected '\)' in skein element"):
+            parse_skein("(a1,[1 2]) )", 2)
+        with pytest.raises(ParseError, match="expected a term factor, found 'X1'"):
+            parse_skein("X1*(1,[1 2])", 2)
+        with pytest.raises(ParseError, match="expected an a-variable, found 'b'"):
+            parse_skein("(a1*b,[1 2])", 2)
 
     @given(skein_elements())
     def test_round_trip(self, v):

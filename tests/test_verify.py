@@ -102,17 +102,6 @@ class TestCheckReport:
         with pytest.raises(ValueError):
             CheckReport("x", 2, 1, 0, None, Counterexample("w", "v", "l", "r"))
 
-    def test_to_dict(self):
-        report = CheckReport("x", 2, 3, 0, 7, None)
-        assert report.to_dict() == {
-            "label": "x",
-            "kappa": 2,
-            "cases": 3,
-            "failures": 0,
-            "seed": 7,
-            "counterexample": None,
-        }
-
 
 class TestCheckRelations:
     def test_poly_small_grid_passes(self):
@@ -140,7 +129,7 @@ class TestCheckRelations:
 
     def test_unknown_representation(self):
         with pytest.raises(ValueError):
-            check_relations(2, "matrix")
+            check_relations(2, "matrix", [])
 
 
 class TestCheckIntertwiner:
@@ -210,3 +199,11 @@ class TestDeterminism:
         other = random_words(2, 10, 5, seed=4)
         assert first == second
         assert first != other
+
+    def test_random_words_are_pinned(self):
+        # One randint for the length, then one choice per letter: `daha
+        # check` output for a fixed seed depends on this draw order.
+        assert [str(w) for w in random_words(3, 10, 3, 42)] == [
+            "s1^-1*s1*y1^-1", "s2^-2", "y1^-1", "y1", "x3*s1^-1*x3^-1",
+            "s1^2", "s2^-1", "x3", "s1*x3*s2^-1", "y1*y1^-1*x3",
+        ]

@@ -86,6 +86,16 @@ class TestWordAlgebra:
         with pytest.raises(ValueError):
             GeneratorWord(2, letters(("x", 3, 1)))
 
+    def test_constructors_reject_bad_fields(self):
+        with pytest.raises(ValueError, match="unknown generator kind 'z'"):
+            GeneratorLetter("z", 1, 1)
+        with pytest.raises(ValueError, match="sign must be"):
+            GeneratorLetter("s", 1, 0)
+        with pytest.raises(ValueError, match="index must be >= 1"):
+            GeneratorLetter("s", 0, 1)
+        with pytest.raises(ValueError, match="kappa must be >= 1"):
+            GeneratorWord(0)
+
     @given(generator_words())
     def test_inverse_reverses_and_flips(self, word):
         inv = word.inverse()
@@ -200,6 +210,10 @@ class TestRelationTable:
         for relation in relation_table(4):
             counts[relation.number] = counts.get(relation.number, 0) + 1
         assert counts == {1: 1, 2: 2, 3: 2, 4: 2, 5: 1, 6: 1, 7: 1, 8: 3, 9: 1}
+
+    def test_rejects_kappa_zero(self):
+        with pytest.raises(ValueError, match="kappa must be >= 1"):
+            relation_table(0)
 
     def test_all_sides_share_kappa(self):
         for kappa in (1, 2, 3, 4, 5):
