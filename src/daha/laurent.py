@@ -172,7 +172,8 @@ class SparseCombination:
         data = {}
         for key, coeff in self._terms.items():
             new = coeff.substitute_d_eq_s()
-            if not new.is_zero():
+            # A coefficient returned unchanged (it has no d) is still nonzero.
+            if new is coeff or not new.is_zero():
                 data[key] = new
         return self._raw(self._rank, data)
 
@@ -257,7 +258,10 @@ class LaurentPoly(SparseCombination):
         return self._rank
 
     def coefficients_have_d(self) -> bool:
-        return any(coeff.has_d() for coeff in self._terms.values())
+        for coeff in self._terms.values():
+            if coeff.has_d():
+                return True
+        return False
 
     # -- ring operations -----------------------------------------------------
 

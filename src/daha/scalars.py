@@ -102,7 +102,10 @@ class ScalarPoly:
 
     def has_d(self) -> bool:
         """Whether any term carries a nonzero d-exponent."""
-        return any(key[2] for key in self._terms)
+        for key in self._terms:
+            if key[2]:
+                return True
+        return False
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -185,7 +188,7 @@ class ScalarPoly:
         This is a ring homomorphism; colliding terms are merged and zero
         results pruned, e.g. d - s maps to 0.
         """
-        if not any(key[2] for key in self._terms):
+        if not self.has_d():
             return self
         data: dict[ExponentTriple, int] = {}
         for (e_s, e_c, e_d), coeff in self._terms.items():

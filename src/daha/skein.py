@@ -44,6 +44,14 @@ Generator actions (all pure functions; inputs never mutated):
   and their inverse-letter consequences, which the tests keep as the slow
   oracle.
 
+  :func:`act_sigma` pushes each exponent vector once.  Its
+  divided-difference half ``g * sum c_sigma (1, sigma)`` has
+  |n_i - n_{i+1}| terms per input term, and no two of them share a key, so
+  it is placed without merging.  Terms merge, and may cancel, only in the
+  braided half (``f`` times the two-case rule), across exponent groups, and
+  in products of :meth:`SkeinElement.multiply_by_a_poly` by elements with
+  several exponent vectors.
+
 * ``y_1`` sends (a^n, sigma) to c^(2 n_1) times the basis pair with
   cyclically shifted exponents (a_kappa picks up n_1) and permutation
   t_1, ..., t_{kappa-1} applied in that order, then applies the braid chain
@@ -61,6 +69,7 @@ polynomials, and :func:`act_word` runs the shared word dispatcher
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from operator import add, index
 from typing import Iterable, Iterator, Sequence
 
@@ -88,7 +97,7 @@ class Permutation(tuple):
         checked = tuple(map(index, images))
         kappa = len(checked)
         if kappa < 1 or sorted(checked) != list(range(1, kappa + 1)):
-            raise ValueError(f"{images} is not a permutation of 1..{kappa}")
+            raise ValueError(f"{checked} is not a permutation of 1..{kappa}")
         return tuple.__new__(cls, checked)
 
     def __reduce__(self):
@@ -136,8 +145,11 @@ class Permutation(tuple):
 
 
 def all_permutations(kappa: int) -> Iterator[Permutation]:
-    for images in itertools.permutations(range(1, kappa + 1)):
-        yield Permutation(images)
+    """The kappa! permutations of 1..kappa, in lexicographic order."""
+    if kappa < 1:
+        raise ValueError("() is not a permutation of 1..0")
+    # itertools yields exactly the permutations, so none is validated again.
+    return map(partial(Permutation._raw, Permutation), itertools.permutations(range(1, kappa + 1)))
 
 
 BasisKey = tuple[ExponentVector, Permutation]
@@ -197,11 +209,16 @@ class SkeinElement(SparseCombination):
     def shift_exponents(self, offset: Sequence[int]) -> "SkeinElement":
         """Multiply by the a-monomial with the given exponent offset and
         coefficient 1.  A translation of the exponent vectors is injective,
-        so no terms merge or cancel."""
-        return SkeinElement._raw(self._rank, {
-            (tuple(map(add, exps, offset)), perm): coeff
-            for (exps, perm), coeff in self._terms.items()
-        })
+        so no terms merge or cancel.  Each distinct exponent vector is
+        shifted once: in a symmetrized element kappa! terms share one."""
+        shifted: dict[ExponentVector, ExponentVector] = {}
+        data: dict[BasisKey, ScalarPoly] = {}
+        for (exps, perm), coeff in self._terms.items():
+            new = shifted.get(exps)
+            if new is None:
+                new = shifted[exps] = tuple(map(add, exps, offset))
+            data[new, perm] = coeff
+        return SkeinElement._raw(self._rank, data)
 
     def multiply_by_a_poly(self, poly: LaurentPoly) -> "SkeinElement":
         """Multiply by a Laurent polynomial in the a-variables.
@@ -209,15 +226,28 @@ class SkeinElement(SparseCombination):
         ``self`` is scaled once per run of one coefficient object in ``poly``
         (as in the quotients of :func:`~daha.laurent.exact_divide`), and each
         term of ``poly`` then only shifts the exponents.
+
+        Where terms can merge: when ``self`` has one exponent vector (a
+        symmetrized monomial, or the unbraided part of :func:`act_sigma`),
+        distinct terms of ``poly`` shift it to distinct vectors, so the
+        shifted copies have pairwise disjoint keys and are placed with
+        ``dict.update``.  Only with several exponent vectors can two copies
+        share a key, and then they are merged with
+        :func:`~daha.laurent.accumulate`, which drops cancelled keys.
         """
         if poly.rank != self._rank:
             raise RankMismatchError(f"rank {poly.rank} does not match kappa {self._rank}")
         data: dict[BasisKey, ScalarPoly] = {}
+        disjoint = len({exps for exps, _ in self._terms}) <= 1
         last = scaled = None
         for exps, coeff in poly.terms.items():
             if coeff is not last:
                 last, scaled = coeff, self.scale(coeff)
-            accumulate(data, scaled.shift_exponents(exps)._terms.items())
+            shifted = scaled.shift_exponents(exps)._terms
+            if disjoint:
+                data.update(shifted)
+            else:
+                accumulate(data, shifted.items())
         return SkeinElement._raw(self._rank, data)
 
     def substitute_d_eq_s(self) -> "SkeinElement":
@@ -270,9 +300,17 @@ def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
     Terms are grouped by exponent vector, so each distinct monomial is pushed
     once: the terms c_sigma (a^n, sigma) map to
     f * sum c_sigma s_i(1, sigma) + g * sum c_sigma (1, sigma).
-    The pushed f is the single monomial swap_i a^n with coefficient 1, so the
-    braided half lands directly at the keys (swap_i n, sigma') of the terms
-    of s_i(1, sigma), with coefficient c_sigma times the two-case rule's.
+
+    Each group's divided-difference half ``g * sum c_sigma (1, sigma)`` is
+    placed first.  It has |n_i - n_{i+1}| times as many terms as the group,
+    and no two of them share a key (see :meth:`SkeinElement.multiply_by_a_poly`),
+    so the first such half placed becomes the result's dict as it is.  The
+    pushed f is the single monomial swap_i a^n with coefficient 1, so the
+    braided half, at most two terms per input term, lands at the keys
+    (swap_i n, sigma') of the terms of s_i(1, sigma), with coefficient
+    c_sigma times the two-case rule's.  Terms merge, and may cancel, only
+    where the braided half meets keys already placed and where the halves
+    of different exponent groups meet.
     """
     kappa = v.kappa
     if not 1 <= i <= kappa - 1:
@@ -285,14 +323,19 @@ def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
     for exps, pairs in by_exps.items():
         f, g = push_sigma_past_monomial(i, exps)
         (swapped_exps,) = f._terms
+        if not g.is_zero():
+            unbraided = SkeinElement._raw(kappa, {(zero_exps, perm): coeff for perm, coeff in pairs})
+            # The product is freshly built, so an empty result takes it over.
+            product = unbraided.multiply_by_a_poly(g)._terms
+            if data:
+                accumulate(data, product.items())
+            else:
+                data = product
         for perm, coeff in pairs:
             accumulate(data, (
                 ((swapped_exps, base_perm), base_coeff)
                 for (_, base_perm), base_coeff in act_sigma_base(i, perm)._terms.items()
             ), coeff)
-        if not g.is_zero():
-            unbraided = SkeinElement._raw(kappa, {(zero_exps, perm): coeff for perm, coeff in pairs})
-            accumulate(data, unbraided.multiply_by_a_poly(g)._terms.items())
     return SkeinElement._raw(kappa, data)
 
 

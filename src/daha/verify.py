@@ -60,6 +60,12 @@ class CheckReport:
         if (self.failures == 0) != (self.counterexample is None):
             raise ValueError("failures == 0 must coincide with the absence of a counterexample")
 
+    def __reduce__(self):
+        # Unpickle through the validating constructor, under every protocol.
+        return CheckReport, (
+            self.label, self.kappa, self.cases, self.failures, self.seed, self.counterexample,
+        )
+
     @property
     def passed(self) -> bool:
         return self.failures == 0

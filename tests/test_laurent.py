@@ -302,6 +302,11 @@ class TestSubstitute:
         f = X(1).scale(d_power(2)) + X(2).scale(s_power(1) - d_power(1))
         assert f.substitute_d_eq_s() == X(1).scale(s_power(2))
 
+    def test_coefficients_have_d(self):
+        assert not (X(1).scale(s_power(1)) + X(2).scale(c_power(2))).coefficients_have_d()
+        assert not LaurentPoly.zero(2).coefficients_have_d()
+        assert (X(1).scale(s_power(1)) + X(2).scale(c_power(2) + d_power(-1))).coefficients_have_d()
+
 
 class TestTextFormat:
     def test_print_examples(self):

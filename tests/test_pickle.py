@@ -3,9 +3,9 @@
 Every value class pickles under every protocol.  Unpickling a
 :class:`~daha.ScalarPoly`, :class:`~daha.LaurentPoly`,
 :class:`~daha.SkeinElement`, :class:`~daha.Permutation`,
-:class:`~daha.GeneratorWord` or :class:`~daha.GeneratorLetter` goes through
-its validating constructor, so a forged pickle cannot build a non-canonical
-or invalid value.
+:class:`~daha.GeneratorWord`, :class:`~daha.GeneratorLetter` or
+:class:`~daha.CheckReport` goes through its validating constructor, so a
+forged pickle cannot build a non-canonical or invalid value.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pickle
 import pytest
 
 from daha import (
-    GeneratorLetter, LaurentPoly, Permutation, ScalarPoly, SkeinElement, c_power, hbar, parse_laurent,
+    CheckReport, Counterexample, GeneratorLetter, LaurentPoly, Permutation, ScalarPoly, SkeinElement, c_power, hbar, parse_laurent,
     parse_skein, parse_word,
 )
 
@@ -32,6 +32,8 @@ VALUES = [
     parse_word("x1^-1*y1*x1*y1^-1*s1^2", 2),
     parse_word("", 3),
     GeneratorLetter("y", 2, -1),
+    CheckReport("x", 2, 3, 0, None, None),
+    CheckReport("poly:braid", 3, 5, 2, 42, Counterexample("s1*s2", "X1", "X2", "X3")),
 ]
 
 
@@ -92,3 +94,11 @@ def test_unpickling_validates_a_letter():
     assert data.count(b"K\x01") == 1
     with pytest.raises(ValueError, match="sign must be"):
         pickle.loads(data.replace(b"K\x01", b"K\x05"))
+
+
+def test_unpickling_validates_a_check_report():
+    # Rewrite failures 0 as 1: a report with failures needs a counterexample.
+    data = pickle.dumps(CheckReport("x", 2, 3, 0, None, None), 2)
+    assert data.count(b"K\x00") == 1
+    with pytest.raises(ValueError, match="failures == 0 must coincide"):
+        pickle.loads(data.replace(b"K\x00", b"K\x01"))

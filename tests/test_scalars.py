@@ -114,6 +114,16 @@ class TestSubstituteD:
     def test_colliding_terms_merge(self):
         assert (d_power(1) - s_power(1)).substitute_d_eq_s() == ZERO
 
+    def test_has_d(self):
+        assert not (s_power(2) + c_power(-1)).has_d()
+        assert not ZERO.has_d()
+        assert (s_power(2) + c_power(-1) * d_power(-1)).has_d()
+        assert not (d_power(1) * d_power(-1)).has_d()
+
+    def test_d_free_value_is_returned_unchanged(self):
+        value = s_power(2) + c_power(-1)
+        assert value.substitute_d_eq_s() is value
+
     @given(scalar_polys(), scalar_polys())
     def test_is_ring_homomorphism(self, a, b):
         assert (a + b).substitute_d_eq_s() == a.substitute_d_eq_s() + b.substitute_d_eq_s()

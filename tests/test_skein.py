@@ -31,8 +31,9 @@ from daha import (
     push_sigma_past_monomial,
     s_power,
 )
+from daha import skein as skein_module
 from daha.errors import ParseError, RankMismatchError
-from daha.laurent import braid_kernel
+from daha.laurent import accumulate, braid_kernel
 from daha.skein import (
     act_sigma,
     act_sigma_base,
@@ -69,6 +70,29 @@ def shared_coefficient_elements(kappa: int, rng: random.Random, count: int) -> l
                 terms.append(((exps, perm), rng.choice(pool)))
         elements.append(SkeinElement(kappa, terms))
     return elements
+
+
+def product_termwise(v: SkeinElement, g: LaurentPoly) -> SkeinElement:
+    """v * g from every pair of terms, merged by the validating constructor."""
+    return SkeinElement(v.kappa, [
+        ((tuple(x + y for x, y in zip(a_exps, b_exps)), perm), b_coeff * a_coeff)
+        for a_exps, a_coeff in g.terms.items()
+        for (b_exps, perm), b_coeff in v.terms.items()
+    ])
+
+
+@pytest.fixture
+def product_merges(monkeypatch):
+    """Count the calls multiply_by_a_poly makes to accumulate, the merging
+    branch; placing pairwise disjoint shifted copies makes none."""
+    calls = []
+
+    def counting(data, items, coeff=None):
+        calls.append(1)
+        accumulate(data, items, coeff)
+
+    monkeypatch.setattr(skein_module, "accumulate", counting)
+    return calls
 
 
 def inverse(perm: Permutation) -> Permutation:
@@ -111,6 +135,21 @@ class TestPermutation:
     def test_rejects_non_integer_images(self, value):
         with pytest.raises(TypeError):
             Permutation((1, value))
+
+    def test_error_names_the_checked_images(self):
+        with pytest.raises(ValueError, match=r"^\(1, 1\) is not a permutation of 1\.\.2$"):
+            Permutation(x for x in (1, 1))
+
+    @pytest.mark.parametrize("kappa", [1, 2, 3, 4])
+    def test_all_permutations_equal_validated_ones(self, kappa):
+        perms = list(all_permutations(kappa))
+        assert perms == [Permutation(p) for p in itertools.permutations(range(1, kappa + 1))]
+        assert all(type(perm) is Permutation for perm in perms)
+
+    @pytest.mark.parametrize("kappa", [0, -1])
+    def test_all_permutations_rejects_kappa_below_one(self, kappa):
+        with pytest.raises(ValueError, match=r"^\(\) is not a permutation of 1\.\.0$"):
+            list(all_permutations(kappa))
 
     def test_inverse(self):
         perm = Permutation((2, 3, 1))
@@ -381,6 +420,86 @@ class TestBraidAction:
         assert twice == act_sigma(i, v).scale(hbar()) + v
 
 
+class TestProductByAPoly:
+    """``multiply_by_a_poly`` places the shifted copies of an element with one
+    exponent vector without merging, and merges otherwise.  The first two
+    tests each pin one branch (through ``product_merges``), so together they
+    reach both; both compare against :func:`product_termwise`."""
+
+    @staticmethod
+    def one_vector_elements(kappa: int, rng: random.Random) -> list[SkeinElement]:
+        """Symmetrized monomials, and unbraided parts (exponents 0) whose
+        terms share coefficient objects, as act_sigma builds them."""
+        pool = [s_power(1), hbar(), s_power(2) + c_power(-2), ScalarPoly.integer(-3)]
+        perms = list(all_permutations(kappa))
+        elements = []
+        for _ in range(3):
+            exps = tuple(rng.randint(-32, 32) for _ in range(kappa))
+            elements.append(symmetrize(LaurentPoly.monomial(kappa, exps, rng.choice(pool))))
+            shared = rng.choice(pool)
+            elements.append(SkeinElement(kappa, [
+                (((0,) * kappa, perm), shared if rng.random() < 0.5 else rng.choice(pool))
+                for perm in rng.sample(perms, rng.randint(1, len(perms)))
+            ]))
+        return elements
+
+    @staticmethod
+    def deep_quotients(kappa: int, rng: random.Random) -> list[LaurentPoly]:
+        """Divided differences g of monomials with |n_1 - n_2| up to 32, and
+        of a two-term polynomial, as the push produces them."""
+        rest = [0] * (kappa - 2)
+        quotients = []
+        for n1, n2 in [(32, 0), (-16, 16), (rng.randint(-16, 16), rng.randint(-16, 16)), (1, 0)]:
+            _, g = push_sigma_past_monomial(1, [n1, n2] + rest)
+            quotients.append(g)
+        f = LaurentPoly(kappa, [(tuple([7, -3] + rest), c_power(1)), (tuple([0, 5] + rest), 1)])
+        quotients.append(braid_kernel(f, 1)[1])
+        assert max(g.term_count() for g in quotients) == 32
+        return quotients
+
+    @pytest.mark.parametrize("kappa", [2, 3, 4])
+    def test_one_exponent_vector_places_disjoint_copies(self, kappa, product_merges):
+        rng = random.Random(100 + kappa)
+        for g in self.deep_quotients(kappa, rng):
+            for v in self.one_vector_elements(kappa, rng):
+                assert v.multiply_by_a_poly(g) == product_termwise(v, g), (str(v), str(g))
+        assert not product_merges
+
+    def test_several_exponent_vectors_merge_and_cancel(self, product_merges):
+        for kappa in (2, 3):
+            rest = (0,) * (kappa - 2)
+            for perm in all_permutations(kappa):
+                v = SkeinElement(kappa, [(((1, 0) + rest, perm), 1), (((0, 1) + rest, perm), -1)])
+                g = LaurentPoly(kappa, [((1, 0) + rest, 1), ((0, 1) + rest, 1)])
+                product = v.multiply_by_a_poly(g)
+                expected = SkeinElement(kappa, [(((2, 0) + rest, perm), 1), (((0, 2) + rest, perm), -1)])
+                assert product == expected == product_termwise(v, g)
+                assert ((1, 1) + rest, perm) not in product.terms
+        assert product_merges
+
+    def test_act_sigma_on_deep_symmetrized_monomials(self):
+        # Exponents in [-32, 32]: the unbraided half has up to 64 terms per
+        # permutation, against the letter-by-letter termwise oracle.  The
+        # two-monomial inputs have two exponent groups whose halves meet;
+        # for the one symmetric in X1, X2 they cancel exactly.
+        rng = random.Random(41)
+        for kappa in (2, 3):
+            rest = (0,) * (kappa - 2)
+            exponent_vectors = [(32, -32) + rest, (-32, 32) + rest, (5, 5) + rest]
+            exponent_vectors += [tuple(rng.randint(-32, 32) for _ in range(kappa)) for _ in range(4)]
+            inputs = [
+                LaurentPoly.monomial(kappa, exps, s_power(rng.randint(-2, 2))) for exps in exponent_vectors
+            ]
+            inputs.append(LaurentPoly(kappa, [((32, -32) + rest, 1), ((-32, 32) + rest, 1)]))
+            inputs.append(LaurentPoly(kappa, [((9, -4) + rest, c_power(2)), ((3, 7) + rest, hbar())]))
+            for f in inputs:
+                v = symmetrize(f)
+                for i in range(1, kappa):
+                    expected = sigma_termwise(i, v)
+                    assert act_sigma(i, v) == expected, (i, str(f))
+                    assert act_sigma_inv(i, v) == expected - v.scale(hbar()), (i, str(f))
+
+
 class TestYAction:
     def test_worked_example_intermediate(self):
         # y1 . (a1^2 a2^-1, [2 1]) = c^4 s1^-1 (a1^-1 a2^2, e), applied out.
@@ -468,6 +587,21 @@ class TestSubstitution:
         assert unit(2, E2).scale(d_power(1) - s_power(1)).substitute_d_eq_s() == SkeinElement.zero(2)
         v = SkeinElement.basis(2, (1, 0), E2, c_power(2) * d_power(3))
         assert v.substitute_d_eq_s() == SkeinElement.basis(2, (1, 0), E2, c_power(2) * s_power(3))
+
+    def test_mixed_coefficients_match_the_validating_constructor(self):
+        d_free = s_power(2) + c_power(-2)
+        carrying = d_power(1) * c_power(2) + s_power(-1)
+        cancelling = d_power(1) - s_power(1)
+        terms = [
+            (((k, -k, 1), perm), coeff)
+            for k, coeff in enumerate([d_free, carrying, cancelling, d_free * hbar()])
+            for perm in all_permutations(3)
+        ]
+        got = SkeinElement(3, terms).substitute_d_eq_s()
+        assert got == SkeinElement(3, [(key, coeff.substitute_d_eq_s()) for key, coeff in terms])
+        assert got.term_count() == 3 * 6
+        # A coefficient without d is kept as it is, not rebuilt.
+        assert all(got.terms[key] is coeff for key, coeff in terms if coeff is d_free)
 
 
 class TestTextFormat:
