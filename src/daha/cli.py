@@ -155,6 +155,15 @@ def _run_suites(args: argparse.Namespace) -> tuple[dict, list[CheckReport]]:
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {args.kappa}")
+    # A smaller value would leave a suite nothing to check (or fail to draw).
+    for flag, value, least in (
+        ("--max-exp", args.max_exp, 0),
+        ("--num-words", args.num_words, 0),
+        ("--max-word-len", args.max_word_len, 1),
+        ("--max-inputs", args.max_inputs, 1),
+    ):
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     header = {
         "record": "header",
         "suite": args.suite,

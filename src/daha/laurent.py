@@ -51,6 +51,18 @@ from .scalars import (
 ExponentVector = tuple[int, ...]
 
 
+_new = object.__new__
+
+
+def _wrap(cls: type, rank: int, data: dict):
+    """Wrap a dict already known to be canonical as a ``cls`` of the given
+    rank (internal fast path)."""
+    obj = _new(cls)
+    obj._rank = rank
+    obj._terms = data
+    return obj
+
+
 def accumulate(data: dict, items: Iterable[tuple], coeff: ScalarPoly | None = None) -> None:
     """Add the (key, value) pairs of items, each times coeff if given, into
     data in place, dropping every key whose total is zero."""
@@ -59,10 +71,10 @@ def accumulate(data: dict, items: Iterable[tuple], coeff: ScalarPoly | None = No
             value = value * coeff
         total = data.get(key)
         total = value if total is None else total + value
-        if total.is_zero():
-            data.pop(key, None)
-        else:
+        if total._terms:
             data[key] = total
+        else:
+            data.pop(key, None)
 
 
 class SparseCombination:
@@ -82,6 +94,7 @@ class SparseCombination:
     _RANK = "rank"
 
     def __init__(self, rank: int, terms: Mapping | Iterable[tuple] = ()):
+        rank = index(rank)
         if rank < 1:
             raise ValueError(f"{self._RANK} must be >= 1, got {rank}")
         self._rank = rank
@@ -95,14 +108,6 @@ class SparseCombination:
     def __reduce__(self):
         # Unpickle through the validating constructor, under every protocol.
         return type(self), (self._rank, self._terms)
-
-    @classmethod
-    def _raw(cls, rank: int, data: dict):
-        """Wrap a dict already known to be canonical (internal fast path)."""
-        obj = object.__new__(cls)
-        obj._rank = rank
-        obj._terms = data
-        return obj
 
     @classmethod
     def zero(cls, rank: int):
@@ -136,14 +141,16 @@ class SparseCombination:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_rank(other)
-        if not other._terms:
-            return self
-        data = dict(self._terms)
-        accumulate(data, other._terms.items())
-        return self._raw(self._rank, data)
+        # Copy the larger operand's dict and merge only the smaller one in.
+        large, small = (self, other) if len(self._terms) >= len(other._terms) else (other, self)
+        if not small._terms:
+            return large
+        data = dict(large._terms)
+        accumulate(data, small._terms.items())
+        return _wrap(type(self), self._rank, data)
 
     def _neg(self):
-        return self._raw(self._rank, {key: -coeff for key, coeff in self._terms.items()})
+        return _wrap(type(self), self._rank, {key: -coeff for key, coeff in self._terms.items()})
 
     def _sub(self, other):
         if not isinstance(other, type(self)):
@@ -153,8 +160,8 @@ class SparseCombination:
     def _scale(self, coeff: ScalarPoly | int):
         if isinstance(coeff, int):
             coeff = ScalarPoly.integer(coeff)
-        if coeff.is_zero():
-            return self._raw(self._rank, {})
+        if not coeff._terms:
+            return _wrap(type(self), self._rank, {})
         if coeff.is_one():
             return self
         # Nonzero times nonzero is nonzero in the integral domain of scalars.
@@ -166,16 +173,16 @@ class SparseCombination:
             if old is not last:
                 last, new = old, old * coeff
             data[key] = new
-        return self._raw(self._rank, data)
+        return _wrap(type(self), self._rank, data)
 
     def _substitute_d_eq_s(self):
         data = {}
         for key, coeff in self._terms.items():
             new = coeff.substitute_d_eq_s()
             # A coefficient returned unchanged (it has no d) is still nonzero.
-            if new is coeff or not new.is_zero():
+            if new is coeff or new._terms:
                 data[key] = new
-        return self._raw(self._rank, data)
+        return _wrap(type(self), self._rank, data)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -197,8 +204,8 @@ class SparseCombination:
     @staticmethod
     def _format_term(coeff: ScalarPoly, body: str, sole_term: bool) -> tuple[int, str]:
         """Return (sign, unsigned rendering) of the term coeff * body."""
-        if len(coeff.terms) == 1:
-            ((triple, n),) = coeff.terms.items()
+        if len(coeff._terms) == 1:
+            ((triple, n),) = coeff._terms.items()
             sign, scalar_body = _format_scalar_term(n, triple)
             if not body:
                 return sign, scalar_body
@@ -237,14 +244,16 @@ class LaurentPoly(SparseCombination):
 
     @classmethod
     def monomial(cls, rank: int, exps: Iterable[int], coeff: ScalarPoly | int = 1) -> "LaurentPoly":
+        rank = index(rank)
         key = cls._check_key(rank, exps)
         if not isinstance(coeff, ScalarPoly):
             coeff = ScalarPoly.integer(coeff)
-        return cls._raw(rank, {key: coeff} if coeff else {})
+        return _wrap(cls, rank, {key: coeff} if coeff._terms else {})
 
     @classmethod
     def variable(cls, rank: int, i: int, exp: int = 1) -> "LaurentPoly":
         """The monomial X_i^exp."""
+        rank = index(rank)
         if not 1 <= i <= rank:
             raise IndexError(f"variable index {i} out of range for rank {rank}")
         exps = [0] * rank
@@ -285,7 +294,7 @@ class LaurentPoly(SparseCombination):
             if factor.is_one():
                 # A one-term right factor with coefficient 1 is an injective
                 # key shift, so nothing merges or cancels.
-                return LaurentPoly._raw(self._rank, {
+                return _wrap(LaurentPoly, self._rank, {
                     tuple(map(add, key, shift)): coeff for key, coeff in self._terms.items()
                 })
         data: dict[ExponentVector, ScalarPoly] = {}
@@ -293,7 +302,7 @@ class LaurentPoly(SparseCombination):
             accumulate(data, (
                 (tuple(map(add, a_key, b_key)), b_coeff) for b_key, b_coeff in other._terms.items()
             ), a_coeff)
-        return LaurentPoly._raw(self._rank, data)
+        return _wrap(LaurentPoly, self._rank, data)
 
     __rmul__ = __mul__
 
@@ -325,13 +334,11 @@ def _check_adjacent_index(i: int, rank: int) -> None:
 
 def swap_variables(f: LaurentPoly, i: int) -> LaurentPoly:
     """Exchange X_i and X_{i+1} in every term (an involution, 1 <= i < rank)."""
-    _check_adjacent_index(i, f.rank)
-    data: dict[ExponentVector, ScalarPoly] = {}
-    for key, coeff in f.terms.items():
-        swapped = list(key)
-        swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-        data[tuple(swapped)] = coeff
-    return LaurentPoly._raw(f.rank, data)
+    _check_adjacent_index(i, f._rank)
+    return _wrap(LaurentPoly, f._rank, {
+        key[: i - 1] + (key[i], key[i - 1]) + key[i + 1 :]: coeff
+        for key, coeff in f._terms.items()
+    })
 
 
 # A cyclic shift of the exponent vectors is a bijection and c-powers are
@@ -345,16 +352,16 @@ def rotate_variables(f: LaurentPoly) -> LaurentPoly:
     On a monomial with exponent vector (n_1, ..., n_k) this produces
     c^(2 n_1) X_k^(n_1) X_1^(n_2) ... X_{k-1}^(n_k).
     """
-    return LaurentPoly._raw(f.rank, {
-        key[1:] + key[:1]: coeff * c_power(2 * key[0]) for key, coeff in f.terms.items()
+    return _wrap(LaurentPoly, f._rank, {
+        key[1:] + key[:1]: coeff * c_power(2 * key[0]) for key, coeff in f._terms.items()
     })
 
 
 def rotate_variables_inverse(f: LaurentPoly) -> LaurentPoly:
     """Inverse of :func:`rotate_variables`; validated by the round trip
     rotate_variables_inverse(rotate_variables(f)) == f."""
-    return LaurentPoly._raw(f.rank, {
-        key[-1:] + key[:-1]: coeff * c_power(-2 * key[-1]) for key, coeff in f.terms.items()
+    return _wrap(LaurentPoly, f._rank, {
+        key[-1:] + key[:-1]: coeff * c_power(-2 * key[-1]) for key, coeff in f._terms.items()
     })
 
 
@@ -362,7 +369,7 @@ def adjacent_ratio(rank: int, i: int) -> LaurentPoly:
     """The monomial Y = X_i * X_{i+1}^-1; a product by it is a key shift."""
     shift = [0] * rank
     shift[i - 1], shift[i] = 1, -1
-    return LaurentPoly._raw(rank, {tuple(shift): ScalarPoly.one()})
+    return _wrap(LaurentPoly, rank, {tuple(shift): ScalarPoly.one()})
 
 
 def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
@@ -381,40 +388,42 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
     is a one-term shift.  A failed certification also raises
     :class:`NonDivisibleError`.
     """
-    _check_adjacent_index(i, f.rank)
+    rank = f._rank
+    _check_adjacent_index(i, rank)
     idx = i - 1
     groups: dict[tuple, dict[int, ScalarPoly]] = {}
-    for key, coeff in f.terms.items():
+    for key, coeff in f._terms.items():
         cls = key[:idx] + (key[idx] + key[idx + 1],) + key[idx + 2 :]
         groups.setdefault(cls, {})[key[idx]] = coeff
 
+    zero = ScalarPoly.zero()
     data: dict[ExponentVector, ScalarPoly] = {}
     for cls, alphas in groups.items():
         pair_sum = cls[idx]
+        head, tail = cls[:idx], cls[idx + 1 :]
         degrees = sorted(alphas)
         low, high = degrees[0], degrees[-1]
-        beta = ScalarPoly.zero()
+        beta = zero
         for j in range(high, low, -1):
             alpha = alphas.get(j)
             if alpha is not None:
                 beta = beta + alpha
-            if not beta.is_zero():
-                key = cls[:idx] + (j - 1, pair_sum - (j - 1)) + cls[idx + 1 :]
-                data[key] = beta
+            if beta._terms:
+                data[head + (j - 1, pair_sum - (j - 1)) + tail] = beta
         remainder = beta + alphas[low]
-        if not remainder.is_zero():
+        if remainder._terms:
             raise NonDivisibleError(
                 f"polynomial is not divisible by X{i}*X{i + 1}^-1 - 1 "
                 f"(class {cls} leaves remainder {remainder})"
             )
-    quotient = LaurentPoly._raw(f.rank, data)
+    quotient = _wrap(LaurentPoly, rank, data)
 
     # Multiply-back certification of quotient * (Y - 1) == f, checked as
     # quotient * Y == f + quotient (the same identity by distributivity) so
     # that the only product is by the one-term Y = X_i X_{i+1}^-1: a key
     # shift.  It runs under every interpreter flag, so a wrong quotient is a
     # failed check even under ``python -O``.
-    if quotient * adjacent_ratio(f.rank, i) != f + quotient:
+    if quotient * adjacent_ratio(rank, i) != f + quotient:
         raise NonDivisibleError(
             f"exact_divide multiply-back certification failed for X{i}*X{i + 1}^-1 - 1"
         )
@@ -434,7 +443,7 @@ def braid_kernel(f: LaurentPoly, i: int) -> tuple[LaurentPoly, LaurentPoly]:
     """
     swapped = swap_variables(f, i)
     if swapped == f:
-        return f, LaurentPoly._raw(f.rank, {})
+        return f, _wrap(LaurentPoly, f._rank, {})
     return swapped, exact_divide(swapped - f, i).scale(hbar())
 
 

@@ -41,7 +41,7 @@ from .words import GeneratorWord, apply_word
 
 def act_x(i: int, f: LaurentPoly, exp: int = 1) -> LaurentPoly:
     """Multiply by X_i^exp (exp = -1 gives the inverse letter)."""
-    return f * LaurentPoly.variable(f.rank, i, exp)
+    return f * LaurentPoly.variable(f._rank, i, exp)
 
 
 def act_sigma(i: int, f: LaurentPoly) -> LaurentPoly:
@@ -59,7 +59,7 @@ def act_sigma_inv(i: int, f: LaurentPoly) -> LaurentPoly:
     product by the one-term Y is a key shift.
     """
     swapped, g = braid_kernel(f, i)
-    return swapped.scale(s_power(-1)) + g * adjacent_ratio(f.rank, i)
+    return swapped.scale(s_power(-1)) + g * adjacent_ratio(f._rank, i)
 
 
 def act_y1(f: LaurentPoly) -> LaurentPoly:
@@ -70,7 +70,7 @@ def act_y1(f: LaurentPoly) -> LaurentPoly:
     (the test suite checks both facts).
     """
     g = rotate_variables(f)
-    for i in range(f.rank - 1, 0, -1):
+    for i in range(f._rank - 1, 0, -1):
         g = act_sigma_inv(i, g)
     return g
 
@@ -78,13 +78,13 @@ def act_y1(f: LaurentPoly) -> LaurentPoly:
 def act_y1_inv(f: LaurentPoly) -> LaurentPoly:
     """Apply the inverse of y_1: s_1 up to s_{k-1}, then the inverse rotation."""
     g = f
-    for i in range(1, f.rank):
+    for i in range(1, f._rank):
         g = act_sigma(i, g)
     return rotate_variables_inverse(g)
 
 
 def act_word(word: GeneratorWord, f: LaurentPoly) -> LaurentPoly:
     """Act by a generator word, rightmost letter first (:func:`~daha.words.apply_word`)."""
-    if word.kappa != f.rank:
-        raise RankMismatchError(f"word kappa {word.kappa} does not match rank {f.rank}")
+    if word.kappa != f._rank:
+        raise RankMismatchError(f"word kappa {word.kappa} does not match rank {f._rank}")
     return apply_word(word, f, (act_x, act_sigma, act_sigma_inv, act_y1, act_y1_inv))

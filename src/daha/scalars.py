@@ -61,13 +61,6 @@ class ScalarPoly:
         # Unpickle through the validating constructor, under every protocol.
         return ScalarPoly, (self._terms,)
 
-    @classmethod
-    def _raw(cls, data: dict[ExponentTriple, int]) -> "ScalarPoly":
-        """Wrap a dict already known to be canonical (internal fast path)."""
-        obj = object.__new__(cls)
-        obj._terms = data
-        return obj
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -81,12 +74,14 @@ class ScalarPoly:
     @classmethod
     def integer(cls, n: int) -> "ScalarPoly":
         n = index(n)
-        return cls._raw({(0, 0, 0): n}) if n else _ZERO
+        if not n:
+            return _ZERO
+        return _ONE if n == 1 else _wrap({(0, 0, 0): n})
 
     @classmethod
     def monomial(cls, e_s: int = 0, e_c: int = 0, e_d: int = 0, coeff: int = 1) -> "ScalarPoly":
         coeff = index(coeff)
-        return cls._raw({(index(e_s), index(e_c), index(e_d)): coeff}) if coeff else _ZERO
+        return _wrap({(index(e_s), index(e_c), index(e_d)): coeff}) if coeff else _ZERO
 
     # -- inspection --------------------------------------------------------
 
@@ -98,7 +93,7 @@ class ScalarPoly:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(0, 0, 0): 1}
+        return self._terms == _ONE._terms
 
     def has_d(self) -> bool:
         """Whether any term carries a nonzero d-exponent."""
@@ -115,8 +110,11 @@ class ScalarPoly:
     def __add__(self, other: "ScalarPoly") -> "ScalarPoly":
         if not isinstance(other, ScalarPoly):
             return NotImplemented
-        if not self._terms:
-            return other
+        # Copy the larger operand's dict and walk only the smaller one.
+        if len(self._terms) < len(other._terms):
+            self, other = other, self
+        if not other._terms:
+            return self
         data = dict(self._terms)
         for key, coeff in other._terms.items():
             total = data.get(key, 0) + coeff
@@ -124,10 +122,10 @@ class ScalarPoly:
                 data[key] = total
             else:
                 del data[key]
-        return ScalarPoly._raw(data)
+        return _wrap(data)
 
     def __neg__(self) -> "ScalarPoly":
-        return ScalarPoly._raw({key: -coeff for key, coeff in self._terms.items()})
+        return _wrap({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
         if not isinstance(other, ScalarPoly):
@@ -138,7 +136,7 @@ class ScalarPoly:
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
-            return ScalarPoly._raw({key: coeff * other for key, coeff in self._terms.items()})
+            return _wrap({key: coeff * other for key, coeff in self._terms.items()})
         if not isinstance(other, ScalarPoly):
             return NotImplemented
         if not self._terms or not other._terms:
@@ -157,7 +155,7 @@ class ScalarPoly:
                         data[key] = total
                     else:
                         del data[key]
-            return ScalarPoly._raw(data)
+            return _wrap(data)
         # A one-term factor shifts the exponents injectively and Z has no zero
         # divisors, so no two terms merge and none vanishes: the product is
         # canonical as built.  The factor 1 returns the other operand, which
@@ -165,7 +163,7 @@ class ScalarPoly:
         ((e_s, e_c, e_d), n), = unit._terms.items()
         if n == 1 and not (e_s or e_c or e_d):
             return poly
-        return ScalarPoly._raw({
+        return _wrap({
             (a_s + e_s, a_c + e_c, a_d + e_d): a_coeff * n
             for (a_s, a_c, a_d), a_coeff in poly._terms.items()
         })
@@ -198,7 +196,7 @@ class ScalarPoly:
                 data[key] = total
             else:
                 del data[key]
-        return ScalarPoly._raw(data)
+        return _wrap(data)
 
     # -- printing ------------------------------------------------------------
 
@@ -211,9 +209,19 @@ class ScalarPoly:
         return f"<ScalarPoly {self}>"
 
 
-_ZERO = ScalarPoly._raw({})
-_ONE = ScalarPoly._raw({(0, 0, 0): 1})
-_HBAR = ScalarPoly._raw({(1, 0, 0): 1, (-1, 0, 0): -1})
+_new = object.__new__
+
+
+def _wrap(data: dict[ExponentTriple, int]) -> ScalarPoly:
+    """Wrap a dict already known to be canonical (internal fast path)."""
+    poly = _new(ScalarPoly)
+    poly._terms = data
+    return poly
+
+
+_ZERO = _wrap({})
+_ONE = _wrap({(0, 0, 0): 1})
+_HBAR = _wrap({(1, 0, 0): 1, (-1, 0, 0): -1})
 
 
 def s_power(n: int) -> ScalarPoly:

@@ -75,7 +75,9 @@ from typing import Iterable, Iterator, Sequence
 
 from ._tokens import TokenStream, parse_signed_int, parse_signed_sum
 from .errors import ParseError, RankMismatchError
-from .laurent import LaurentPoly, SparseCombination, _monomial_string, accumulate, braid_kernel
+from .laurent import (
+    LaurentPoly, SparseCombination, _monomial_string, _wrap, accumulate, braid_kernel,
+)
 from .scalars import ScalarPoly, c_power, d_power, hbar, parse_scalar_factor, parse_scalar_sum
 from .words import GeneratorWord, apply_word
 
@@ -121,6 +123,9 @@ class Permutation(tuple):
         return len(self)
 
     def __call__(self, j: int) -> int:
+        """The image of position j, for 1 <= j <= size."""
+        if not 1 <= j <= len(self):
+            raise IndexError(f"position {j} out of range 1..{len(self)}")
         return self[j - 1]
 
     def precompose_swap(self, i: int) -> "Permutation":
@@ -133,9 +138,7 @@ class Permutation(tuple):
         """
         if not 1 <= i <= len(self) - 1:
             raise IndexError(f"swap index {i} out of range for size {len(self)}")
-        images = list(self)
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return self._raw(Permutation, images)
+        return self._raw(Permutation, self[: i - 1] + (self[i], self[i - 1]) + self[i + 1 :])
 
     def __repr__(self) -> str:
         return f"Permutation(images={tuple(self)!r})"
@@ -170,7 +173,7 @@ class SkeinElement(SparseCombination):
         if not isinstance(perm, Permutation):
             raise TypeError(f"basis pair {key!r} is not an (exponents, Permutation) pair")
         key = (tuple(map(index, exps)), perm)
-        if len(key[0]) != kappa or perm.size != kappa:
+        if len(key[0]) != kappa or len(perm) != kappa:
             raise ValueError(f"basis pair {key} does not match kappa={kappa}")
         return key
 
@@ -218,7 +221,7 @@ class SkeinElement(SparseCombination):
             if new is None:
                 new = shifted[exps] = tuple(map(add, exps, offset))
             data[new, perm] = coeff
-        return SkeinElement._raw(self._rank, data)
+        return _wrap(SkeinElement, self._rank, data)
 
     def multiply_by_a_poly(self, poly: LaurentPoly) -> "SkeinElement":
         """Multiply by a Laurent polynomial in the a-variables.
@@ -235,12 +238,12 @@ class SkeinElement(SparseCombination):
         share a key, and then they are merged with
         :func:`~daha.laurent.accumulate`, which drops cancelled keys.
         """
-        if poly.rank != self._rank:
-            raise RankMismatchError(f"rank {poly.rank} does not match kappa {self._rank}")
+        if poly._rank != self._rank:
+            raise RankMismatchError(f"rank {poly._rank} does not match kappa {self._rank}")
         data: dict[BasisKey, ScalarPoly] = {}
         disjoint = len({exps for exps, _ in self._terms}) <= 1
         last = scaled = None
-        for exps, coeff in poly.terms.items():
+        for exps, coeff in poly._terms.items():
             if coeff is not last:
                 last, scaled = coeff, self.scale(coeff)
             shifted = scaled.shift_exponents(exps)._terms
@@ -248,7 +251,7 @@ class SkeinElement(SparseCombination):
                 data.update(shifted)
             else:
                 accumulate(data, shifted.items())
-        return SkeinElement._raw(self._rank, data)
+        return _wrap(SkeinElement, self._rank, data)
 
     def substitute_d_eq_s(self) -> "SkeinElement":
         """Set d = s in every coefficient (cancellations are pruned)."""
@@ -260,9 +263,10 @@ class SkeinElement(SparseCombination):
 
 def act_x(i: int, v: SkeinElement, exp: int = 1) -> SkeinElement:
     """Multiply by a_i^exp: shift the i-th exponent of every basis term."""
-    if not 1 <= i <= v.kappa:
-        raise IndexError(f"variable index {i} out of range for kappa {v.kappa}")
-    offset = [0] * v.kappa
+    kappa = v._rank
+    if not 1 <= i <= kappa:
+        raise IndexError(f"variable index {i} out of range for kappa {kappa}")
+    offset = [0] * kappa
     offset[i - 1] = exp
     return v.shift_exponents(offset)
 
@@ -273,15 +277,15 @@ _D_INV = d_power(-1)
 
 def act_sigma_base(i: int, perm: Permutation) -> SkeinElement:
     """The braid letter s_i on the exponent-free pair (1, perm)."""
-    kappa = perm.size
+    kappa = len(perm)
     if not 1 <= i <= kappa - 1:
         raise IndexError(f"braid index {i} out of range for kappa {kappa}")
     zero_exps = (0,) * kappa
     swapped = perm.precompose_swap(i)
-    if perm(i) < perm(i + 1):
-        return SkeinElement._raw(kappa, {(zero_exps, swapped): _D_INV})
+    if perm[i - 1] < perm[i]:
+        return _wrap(SkeinElement, kappa, {(zero_exps, swapped): _D_INV})
     # swapped differs from perm, so the two basis pairs are distinct.
-    return SkeinElement._raw(kappa, {(zero_exps, swapped): _D, (zero_exps, perm): hbar()})
+    return _wrap(SkeinElement, kappa, {(zero_exps, swapped): _D, (zero_exps, perm): hbar()})
 
 
 def push_sigma_past_monomial(i: int, exps: Sequence[int]) -> tuple[LaurentPoly, LaurentPoly]:
@@ -312,19 +316,21 @@ def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
     where the braided half meets keys already placed and where the halves
     of different exponent groups meet.
     """
-    kappa = v.kappa
+    kappa = v._rank
     if not 1 <= i <= kappa - 1:
         raise IndexError(f"braid index {i} out of range for kappa {kappa}")
     by_exps: dict[ExponentVector, list[tuple[Permutation, ScalarPoly]]] = {}
-    for (exps, perm), coeff in v.terms.items():
+    for (exps, perm), coeff in v._terms.items():
         by_exps.setdefault(exps, []).append((perm, coeff))
     zero_exps = (0,) * kappa
     data: dict[BasisKey, ScalarPoly] = {}
     for exps, pairs in by_exps.items():
         f, g = push_sigma_past_monomial(i, exps)
         (swapped_exps,) = f._terms
-        if not g.is_zero():
-            unbraided = SkeinElement._raw(kappa, {(zero_exps, perm): coeff for perm, coeff in pairs})
+        if g._terms:
+            unbraided = _wrap(
+                SkeinElement, kappa, {(zero_exps, perm): coeff for perm, coeff in pairs}
+            )
             # The product is freshly built, so an empty result takes it over.
             product = unbraided.multiply_by_a_poly(g)._terms
             if data:
@@ -336,7 +342,7 @@ def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
                 ((swapped_exps, base_perm), base_coeff)
                 for (_, base_perm), base_coeff in act_sigma_base(i, perm)._terms.items()
             ), coeff)
-    return SkeinElement._raw(kappa, data)
+    return _wrap(SkeinElement, kappa, data)
 
 
 def act_sigma_inv(i: int, v: SkeinElement) -> SkeinElement:
@@ -358,12 +364,12 @@ def act_y1(v: SkeinElement) -> SkeinElement:
     (swaps at positions 1, 2, ..., kappa-1 applied in that order), then act
     by the braid chain s_{kappa-1}^-1 first, s_1^-1 last.
     """
-    result = SkeinElement._raw(v.kappa, {
+    result = _wrap(SkeinElement, v._rank, {
         (exps[1:] + exps[:1], Permutation._raw(Permutation, perm[1:] + perm[:1])):
             coeff * c_power(2 * exps[0])
-        for (exps, perm), coeff in v.terms.items()
+        for (exps, perm), coeff in v._terms.items()
     })
-    for i in range(v.kappa - 1, 0, -1):
+    for i in range(v._rank - 1, 0, -1):
         result = act_sigma_inv(i, result)
     return result
 
@@ -371,19 +377,19 @@ def act_y1(v: SkeinElement) -> SkeinElement:
 def act_y1_inv(v: SkeinElement) -> SkeinElement:
     """Apply the exact inverse of y_1 (braid chain s_1 first, then the
     inverse shift); validated by round-trip tests."""
-    for i in range(1, v.kappa):
+    for i in range(1, v._rank):
         v = act_sigma(i, v)
-    return SkeinElement._raw(v.kappa, {
+    return _wrap(SkeinElement, v._rank, {
         (exps[-1:] + exps[:-1], Permutation._raw(Permutation, perm[-1:] + perm[:-1])):
             coeff * c_power(-2 * exps[-1])
-        for (exps, perm), coeff in v.terms.items()
+        for (exps, perm), coeff in v._terms.items()
     })
 
 
 def act_word(word: GeneratorWord, v: SkeinElement) -> SkeinElement:
     """Act by a generator word, rightmost letter first (:func:`~daha.words.apply_word`)."""
-    if word.kappa != v.kappa:
-        raise RankMismatchError(f"word kappa {word.kappa} does not match kappa {v.kappa}")
+    if word.kappa != v._rank:
+        raise RankMismatchError(f"word kappa {word.kappa} does not match kappa {v._rank}")
     return apply_word(word, v, (act_x, act_sigma, act_sigma_inv, act_y1, act_y1_inv))
 
 

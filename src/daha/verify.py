@@ -31,7 +31,7 @@ from itertools import product
 
 from . import polyrep
 from . import skein as skein_mod
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _wrap
 from .skein import SkeinElement, all_permutations
 from .words import GeneratorLetter, GeneratorWord, RelationPair, relation_table
 
@@ -103,19 +103,19 @@ def symmetrize(f: LaurentPoly) -> SkeinElement:
     """
     if f.coefficients_have_d():
         raise ValueError("the averaging map is not defined for coefficients involving d")
-    kappa = f.rank
+    kappa = f._rank
     perms = list(all_permutations(kappa))
-    data = {(exps, perm): coeff for exps, coeff in f.terms.items() for perm in perms}
-    return SkeinElement._raw(kappa, data)
+    data = {(exps, perm): coeff for exps, coeff in f._terms.items() for perm in perms}
+    return _wrap(SkeinElement, kappa, data)
 
 
 def is_permutation_uniform(v: SkeinElement) -> bool:
     """Whether v lies in the symmetrized subspace: for every exponent vector
     the coefficient is the same for all kappa! permutations."""
-    perms = list(all_permutations(v.kappa))
-    exponent_vectors = {exps for exps, _ in v.terms}
+    perms = list(all_permutations(v._rank))
+    exponent_vectors = {exps for exps, _ in v._terms}
     for exps in exponent_vectors:
-        coeffs = {v.terms.get((exps, perm)) for perm in perms}
+        coeffs = {v._terms.get((exps, perm)) for perm in perms}
         if len(coeffs) != 1:
             return False
     return True

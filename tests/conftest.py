@@ -14,8 +14,8 @@ small_coeffs = st.integers(min_value=-3, max_value=3)
 
 
 @st.composite
-def scalar_polys(draw, max_terms: int = 4):
-    n = draw(st.integers(min_value=0, max_value=max_terms))
+def scalar_polys(draw, max_terms: int = 4, min_terms: int = 0):
+    n = draw(st.integers(min_value=min_terms, max_value=max_terms))
     terms = [
         ((draw(small_exponents), draw(small_exponents), draw(small_exponents)), draw(small_coeffs))
         for _ in range(n)
@@ -24,11 +24,13 @@ def scalar_polys(draw, max_terms: int = 4):
 
 
 @st.composite
-def laurent_polys(draw, rank: int | None = None, max_terms: int = 4, max_exp: int = 3):
+def laurent_polys(
+    draw, rank: int | None = None, max_terms: int = 4, max_exp: int = 3, min_terms: int = 0
+):
     if rank is None:
         rank = draw(st.integers(min_value=1, max_value=4))
     exps = st.integers(min_value=-max_exp, max_value=max_exp)
-    n = draw(st.integers(min_value=0, max_value=max_terms))
+    n = draw(st.integers(min_value=min_terms, max_value=max_terms))
     terms = []
     for _ in range(n):
         key = tuple(draw(exps) for _ in range(rank))
@@ -46,17 +48,54 @@ def permutations(draw, kappa: int | None = None):
 
 
 @st.composite
-def skein_elements(draw, kappa: int | None = None, max_terms: int = 3, max_exp: int = 2):
+def skein_elements(
+    draw, kappa: int | None = None, max_terms: int = 3, max_exp: int = 2, min_terms: int = 0
+):
     if kappa is None:
         kappa = draw(st.integers(min_value=1, max_value=3))
     exps = st.integers(min_value=-max_exp, max_value=max_exp)
-    n = draw(st.integers(min_value=0, max_value=max_terms))
+    n = draw(st.integers(min_value=min_terms, max_value=max_terms))
     terms = []
     for _ in range(n):
         key = (tuple(draw(exps) for _ in range(kappa)), draw(permutations(kappa=kappa)))
         coeff = draw(scalar_polys(max_terms=2))
         terms.append((key, coeff))
     return SkeinElement(kappa, terms)
+
+
+def _same_kind(element, terms):
+    """A value of element's class and rank with the given terms."""
+    if isinstance(element, ScalarPoly):
+        return ScalarPoly(terms)
+    rank = element.rank if isinstance(element, LaurentPoly) else element.kappa
+    return type(element)(rank, terms)
+
+
+def _cancelling_part(draw, coeff):
+    """A coefficient that cancels part of coeff, or all of it, when added."""
+    if isinstance(coeff, int):
+        return -coeff + draw(small_coeffs)
+    negated = [(key, -n) for key, n in coeff.terms.items()]
+    kept = draw(st.lists(st.sampled_from(negated), min_size=1, unique=True))
+    return ScalarPoly(kept + list(draw(scalar_polys(max_terms=1)).terms.items()))
+
+
+@st.composite
+def lopsided_pairs(draw, large, small):
+    """(big, little) with big drawn from ``large`` and little much smaller.
+
+    On up to three of big's keys little's coefficient cancels big's exactly
+    or in part; its other terms come from ``small`` and may be new keys.  So
+    a sum reaches both sides of a walk over the smaller operand: keys that
+    merge, keys that vanish, and keys that are only copied.
+    """
+    big = draw(large)
+    terms = list(draw(small).terms.items())
+    if big:
+        for key in draw(st.lists(st.sampled_from(sorted(big.terms)), max_size=3, unique=True)):
+            coeff = big.terms[key]
+            terms.append((key, -coeff if draw(st.booleans()) else _cancelling_part(draw, coeff)))
+    return big, _same_kind(big, terms)
 
 
 @st.composite

@@ -1,14 +1,39 @@
-"""Slow oracle for ring products: the plain double loop.
+"""Slow oracles for ring sums and products.
 
 ``ScalarPoly`` and ``LaurentPoly`` multiply by a one-term factor as a key
-shift, without merging or pruning.  These references always take every pair
-of terms and leave merging and pruning to the validating constructors, so
-they share no code with either product.
+shift, without merging or pruning.  The product references always take every
+pair of terms and leave merging and pruning to the validating constructors,
+so they share no code with either product.
+
+Sums copy the larger operand and merge only the smaller one in.  The sum
+references concatenate both term lists instead; a scalar sum is merged by
+the ``ScalarPoly`` constructor, and a Laurent or skein sum merges the
+coefficients of each key with that constructor before building the result,
+so they share no code with ``ScalarPoly.__add__`` or
+:func:`~daha.laurent.accumulate`.
 """
 
 from __future__ import annotations
 
 from daha import LaurentPoly, ScalarPoly
+
+
+def scalar_sum(a: ScalarPoly, b: ScalarPoly) -> ScalarPoly:
+    return ScalarPoly([*a.terms.items(), *b.terms.items()])
+
+
+def combination_sum(f, g, rank: int):
+    """f + g for two LaurentPoly or two SkeinElement values of this rank.
+
+    Keys reach the validating constructor once each and with a nonzero
+    coefficient, so it has nothing left to merge or prune.
+    """
+    assert type(f) is type(g)
+    merged: dict = {}
+    for key, coeff in [*f.terms.items(), *g.terms.items()]:
+        merged.setdefault(key, []).extend(coeff.terms.items())
+    sums = [(key, ScalarPoly(items)) for key, items in merged.items()]
+    return type(f)(rank, [(key, coeff) for key, coeff in sums if coeff])
 
 
 def scalar_product(a: ScalarPoly, b: ScalarPoly) -> ScalarPoly:

@@ -153,6 +153,27 @@ class TestCheck:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-exp", "-1"),
+        ("--num-words", "-4"),
+        ("--max-word-len", "0"),
+        ("--max-word-len", "-2"),
+        ("--max-inputs", "0"),
+        ("--max-inputs", "-1"),
+    ])
+    def test_out_of_range_suite_size_exits_two(self, capsys, flag, value):
+        # Each of these once ran, and passed, checks of zero cases.
+        code, out, err = run(capsys, "check", "--suite", "all", "--kappa", "2", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be >= ")
+
+    def test_smallest_suite_sizes_are_accepted(self, capsys):
+        code, out, _ = run(capsys, "check", "--suite", "all", "--kappa", "2", "--max-exp", "0",
+                           "--num-words", "0", "--max-word-len", "1", "--max-inputs", "1")
+        assert code == 0
+        assert "PASS intertwiner: cases=10" in out and "FAIL" not in out
+
 
 class TestBench:
     def test_smoke(self, capsys):

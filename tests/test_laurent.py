@@ -30,8 +30,8 @@ from daha import laurent
 from daha.errors import ParseError
 from daha.laurent import adjacent_ratio, braid_kernel
 
-from conftest import laurent_polys, scalar_polys
-from product_oracle import laurent_product
+from conftest import laurent_polys, lopsided_pairs, scalar_polys
+from product_oracle import combination_sum, laurent_product
 
 
 def X(i: int, exp: int = 1, rank: int = 2) -> LaurentPoly:
@@ -83,6 +83,28 @@ class TestRingOps:
             LaurentPoly(0)
         with pytest.raises(ValueError, match="has length 1, expected 2"):
             LaurentPoly(2, {(1,): 1})
+
+    @pytest.mark.parametrize("rank", [2.0, "2"])
+    def test_rejects_a_non_integer_rank(self, rank):
+        with pytest.raises(TypeError):
+            LaurentPoly(rank, {(1, 0): 1})
+        with pytest.raises(TypeError):
+            LaurentPoly.zero(rank)
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(rank, (1, 0))
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            LaurentPoly.variable(rank, 1)
+
+    @given(lopsided_pairs(
+        laurent_polys(rank=2, min_terms=8, max_terms=16, max_exp=2),
+        laurent_polys(rank=2, max_terms=2, max_exp=2),
+    ))
+    def test_sum_of_unequal_operands_matches_oracle(self, pair):
+        big, little = pair
+        expected = combination_sum(big, little, 2)
+        for total in (big + little, little + big):
+            assert total == expected
+            assert all(c and 0 not in c.terms.values() for c in total.terms.values())
 
     def test_rank_mismatch_is_an_error(self):
         with pytest.raises(RankMismatchError):

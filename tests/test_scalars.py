@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 from daha import ScalarPoly, c_power, d_power, hbar, parse_scalar, s_power
 from daha.errors import ParseError
 
-from conftest import scalar_polys
-from product_oracle import scalar_product
+from conftest import lopsided_pairs, scalar_polys
+from product_oracle import scalar_product, scalar_sum
 
 ZERO = ScalarPoly.zero()
 ONE = ScalarPoly.one()
@@ -42,6 +42,14 @@ class TestArithmetic:
 
     def test_partial_cancellation(self):
         assert hbar() + s_power(-1) == s_power(1)
+
+    @given(lopsided_pairs(scalar_polys(min_terms=8, max_terms=16), scalar_polys(max_terms=2)))
+    def test_sum_of_unequal_operands_matches_oracle(self, pair):
+        big, little = pair
+        expected = scalar_sum(big, little)
+        for total in (big + little, little + big):
+            assert total == expected
+            assert 0 not in total.terms.values()
 
     def test_unit_inverse(self):
         assert c_power(2) * c_power(-2) == ONE

@@ -45,7 +45,8 @@ from daha.skein import (
 )
 from daha.verify import symmetrize
 
-from conftest import permutations, skein_elements
+from conftest import lopsided_pairs, permutations, skein_elements
+from product_oracle import combination_sum
 from push_oracle import monomial_letters, push_by_letters, sigma_letter_by_letter, sigma_termwise
 
 E2 = Permutation.identity(2)
@@ -125,6 +126,13 @@ class TestPermutation:
     def test_swap_index_range(self):
         with pytest.raises(IndexError):
             Permutation((1, 2)).precompose_swap(0)
+
+    def test_call_maps_positions_one_to_size(self):
+        perm = Permutation((2, 3, 1))
+        assert [perm(j) for j in (1, 2, 3)] == [2, 3, 1]
+        for j in (0, -1, 4):
+            with pytest.raises(IndexError, match=rf"^position {j} out of range 1\.\.3$"):
+                perm(j)
 
     def test_rejects_non_bijections(self):
         for images in [(1, 1), (0, 1), (), (2,), (2, 2, 1)]:
@@ -420,6 +428,19 @@ class TestBraidAction:
         assert twice == act_sigma(i, v).scale(hbar()) + v
 
 
+class TestSum:
+    @given(lopsided_pairs(
+        skein_elements(kappa=2, min_terms=8, max_terms=14, max_exp=1),
+        skein_elements(kappa=2, max_terms=2, max_exp=1),
+    ))
+    def test_sum_of_unequal_operands_matches_oracle(self, pair):
+        big, little = pair
+        expected = combination_sum(big, little, 2)
+        for total in (big + little, little + big):
+            assert total == expected
+            assert all(c and 0 not in c.terms.values() for c in total.terms.values())
+
+
 class TestProductByAPoly:
     """``multiply_by_a_poly`` places the shifted copies of an element with one
     exponent vector without merging, and merges otherwise.  The first two
@@ -637,6 +658,13 @@ class TestTextFormat:
             SkeinElement(2, [(((0, 0),), 1)])
         with pytest.raises(TypeError, match="basis pair"):
             SkeinElement(2, [(5, 1)])
+
+    @pytest.mark.parametrize("kappa", [2.0, "2"])
+    def test_constructor_rejects_a_non_integer_kappa(self, kappa):
+        with pytest.raises(TypeError):
+            SkeinElement(kappa)
+        with pytest.raises(TypeError):
+            SkeinElement(kappa, [(((1, 0), T2), 1)])
 
     def test_constructor_rejects_a_basis_pair_of_another_kappa(self):
         with pytest.raises(ValueError, match="does not match kappa=3"):
