@@ -156,9 +156,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {args.kappa}")
     # A smaller value would leave a suite nothing to check (or fail to draw).
+    # The intertwiner suite keeps its single-letter words at --num-words 0;
+    # the subrep suite checks only the random words.
     for flag, value, least in (
         ("--max-exp", args.max_exp, 0),
-        ("--num-words", args.num_words, 0),
+        ("--num-words", args.num_words, 1 if args.suite in ("subrep", "all") else 0),
         ("--max-word-len", args.max_word_len, 1),
         ("--max-inputs", args.max_inputs, 1),
     ):

@@ -176,9 +176,13 @@ class SparseCombination:
         return _wrap(type(self), self._rank, data)
 
     def _substitute_d_eq_s(self):
+        # Runs of one coefficient object (as in symmetrized elements and
+        # _scale's results) are substituted once.
         data = {}
+        last = new = None
         for key, coeff in self._terms.items():
-            new = coeff.substitute_d_eq_s()
+            if coeff is not last:
+                last, new = coeff, coeff.substitute_d_eq_s()
             # A coefficient returned unchanged (it has no d) is still nonzero.
             if new is coeff or new._terms:
                 data[key] = new

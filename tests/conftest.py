@@ -63,6 +63,26 @@ def skein_elements(
     return SkeinElement(kappa, terms)
 
 
+@st.composite
+def shared_coefficient_runs(draw, keys, max_runs: int = 5):
+    """Terms on distinct keys from ``keys``, in runs that share one
+    coefficient object.
+
+    The objects come from a small pool: a few drawn scalars, ``d - s``
+    (which vanishes at d = s) and ``s + c^-2`` (which has no d).  A pool
+    object may head several runs, so it recurs both within a run and across
+    runs.
+    """
+    pool = draw(st.lists(scalar_polys(max_terms=3, min_terms=1), min_size=1, max_size=3))
+    pool += [ScalarPoly({(0, 0, 1): 1, (1, 0, 0): -1}), ScalarPoly({(1, 0, 0): 1, (0, -2, 0): 1})]
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.integers(min_value=1, max_value=4)), max_size=max_runs,
+    ))
+    coeffs = [coeff for coeff, length in runs for _ in range(length)]
+    distinct = draw(st.lists(keys, min_size=len(coeffs), max_size=len(coeffs), unique=True))
+    return list(zip(distinct, coeffs))
+
+
 def _same_kind(element, terms):
     """A value of element's class and rank with the given terms."""
     if isinstance(element, ScalarPoly):

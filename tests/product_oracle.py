@@ -1,4 +1,4 @@
-"""Slow oracles for ring sums and products.
+"""Slow oracles for ring sums, products and the d = s substitution.
 
 ``ScalarPoly`` and ``LaurentPoly`` multiply by a one-term factor as a key
 shift, without merging or pruning.  The product references always take every
@@ -11,6 +11,10 @@ the ``ScalarPoly`` constructor, and a Laurent or skein sum merges the
 coefficients of each key with that constructor before building the result,
 so they share no code with ``ScalarPoly.__add__`` or
 :func:`~daha.laurent.accumulate`.
+
+The d = s substitution is done once per run of one coefficient object.  Its
+reference rebuilds every coefficient, term by term, through the
+``ScalarPoly`` constructor.
 """
 
 from __future__ import annotations
@@ -50,4 +54,18 @@ def laurent_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         (tuple(x + y for x, y in zip(f_key, g_key)), scalar_product(f_coeff, g_coeff))
         for f_key, f_coeff in f.terms.items()
         for g_key, g_coeff in g.terms.items()
+    ])
+
+
+def d_eq_s(value):
+    """A LaurentPoly or SkeinElement at d = s.
+
+    Each coefficient is folded by the ``ScalarPoly`` constructor, and the
+    result goes through its class's validating constructor, which drops the
+    coefficients that vanish.
+    """
+    rank = value.rank if isinstance(value, LaurentPoly) else value.kappa
+    return type(value)(rank, [
+        (key, ScalarPoly([((e_s + e_d, e_c, 0), n) for (e_s, e_c, e_d), n in coeff.terms.items()]))
+        for key, coeff in value.terms.items()
     ])

@@ -169,10 +169,30 @@ class TestCheck:
         assert err.startswith(f"error: {flag} must be >= ")
 
     def test_smallest_suite_sizes_are_accepted(self, capsys):
-        code, out, _ = run(capsys, "check", "--suite", "all", "--kappa", "2", "--max-exp", "0",
-                           "--num-words", "0", "--max-word-len", "1", "--max-inputs", "1")
+        code, out, _ = run(capsys, "check", "--suite", "intertwiner", "--kappa", "2",
+                           "--max-exp", "0", "--num-words", "0", "--max-word-len", "1",
+                           "--max-inputs", "1")
         assert code == 0
         assert "PASS intertwiner: cases=10" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("suite", ["subrep", "all"])
+    def test_subrep_suite_without_words_exits_two(self, capsys, suite):
+        # The subrep suite checks only random words; with none it once
+        # printed "PASS subrep: cases=0" and exited 0.
+        code, out, err = run(capsys, "check", "--suite", suite, "--kappa", "2",
+                             "--num-words", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --num-words must be >= 1, got 0")
+
+    @pytest.mark.parametrize("suite", ["subrep", "all"])
+    def test_smallest_suite_sizes_with_the_subrep_suite_are_accepted(self, capsys, suite):
+        code, out, _ = run(capsys, "check", "--suite", suite, "--kappa", "2", "--max-exp", "0",
+                           "--num-words", "1", "--max-word-len", "1", "--max-inputs", "1")
+        assert code == 0
+        assert "PASS subrep: cases=1 failures=0" in out and "FAIL" not in out
+        if suite == "all":
+            assert "PASS intertwiner: cases=11" in out
 
 
 class TestBench:

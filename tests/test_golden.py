@@ -6,6 +6,12 @@ Each case stores three files: ``<name>.stdout``, ``<name>.stderr`` and
 the order of checks, to parse-error messages or to exit codes shows up here
 as a diff.  To regenerate the files after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+
+``check_all_k3_seed42_full.stdout`` is the README's full kappa=3 check
+(``daha check --suite all --kappa 3 --seed 42 --num-words 10
+--max-word-len 3``, exit code 0).  It takes seconds rather than
+milliseconds, so CI compares it through the installed console script
+instead of here; :func:`_regenerate` leaves it alone.
 """
 
 from __future__ import annotations

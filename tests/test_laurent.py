@@ -30,8 +30,8 @@ from daha import laurent
 from daha.errors import ParseError
 from daha.laurent import adjacent_ratio, braid_kernel
 
-from conftest import laurent_polys, lopsided_pairs, scalar_polys
-from product_oracle import combination_sum, laurent_product
+from conftest import laurent_polys, lopsided_pairs, scalar_polys, shared_coefficient_runs
+from product_oracle import combination_sum, d_eq_s, laurent_product
 
 
 def X(i: int, exp: int = 1, rank: int = 2) -> LaurentPoly:
@@ -323,6 +323,35 @@ class TestSubstitute:
     def test_coefficientwise(self):
         f = X(1).scale(d_power(2)) + X(2).scale(s_power(1) - d_power(1))
         assert f.substitute_d_eq_s() == X(1).scale(s_power(2))
+
+    def test_runs_of_shared_coefficients(self, monkeypatch):
+        # d - s vanishes at three keys in two runs; the other runs keep a d
+        # (d^2 c) or have none (s + c^-2), and one object heads two runs.
+        vanishing = d_power(1) - s_power(1)
+        carrying = d_power(2) * c_power(1)
+        d_free = s_power(1) + c_power(-2)
+        coeffs = [vanishing, vanishing, carrying, d_free, d_free, vanishing, carrying, carrying]
+        f = LaurentPoly(3, [((k, -k, 2 * k), coeff) for k, coeff in enumerate(coeffs)])
+        calls = []
+        substitute = ScalarPoly.substitute_d_eq_s
+        monkeypatch.setattr(ScalarPoly, "substitute_d_eq_s",
+                            lambda self: calls.append(self) or substitute(self))
+        got = f.substitute_d_eq_s()
+        assert got == d_eq_s(f)
+        assert got.term_count() == 5
+        # Once per run of one coefficient object.
+        assert calls == [vanishing, carrying, d_free, vanishing, carrying]
+        assert all(got.terms[key] is d_free for key, coeff in f.terms.items() if coeff is d_free)
+
+    @given(st.data())
+    def test_shared_coefficients_match_the_per_term_oracle(self, data):
+        rank = data.draw(st.integers(min_value=1, max_value=3))
+        keys = st.tuples(*[st.integers(min_value=-2, max_value=2)] * rank)
+        f = LaurentPoly(rank, data.draw(shared_coefficient_runs(keys)))
+        got = f.substitute_d_eq_s()
+        expected = d_eq_s(f)
+        assert got == expected
+        assert str(got) == str(expected)
 
     def test_coefficients_have_d(self):
         assert not (X(1).scale(s_power(1)) + X(2).scale(c_power(2))).coefficients_have_d()

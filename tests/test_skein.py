@@ -45,8 +45,8 @@ from daha.skein import (
 )
 from daha.verify import symmetrize
 
-from conftest import lopsided_pairs, permutations, skein_elements
-from product_oracle import combination_sum
+from conftest import lopsided_pairs, permutations, shared_coefficient_runs, skein_elements
+from product_oracle import combination_sum, d_eq_s
 from push_oracle import monomial_letters, push_by_letters, sigma_letter_by_letter, sigma_termwise
 
 E2 = Permutation.identity(2)
@@ -623,6 +623,29 @@ class TestSubstitution:
         assert got.term_count() == 3 * 6
         # A coefficient without d is kept as it is, not rebuilt.
         assert all(got.terms[key] is coeff for key, coeff in terms if coeff is d_free)
+
+    def test_runs_across_permutations_match_the_per_term_oracle(self):
+        # One object per exponent vector, shared by all six permutations, as
+        # symmetrize builds them; d - s vanishes on every key of two runs.
+        vanishing = d_power(1) - s_power(1)
+        coeffs = [vanishing, c_power(2), vanishing, s_power(1) + d_power(-1)]
+        v = SkeinElement(3, [(((k, 1, -k), perm), coeff)
+                             for k, coeff in enumerate(coeffs)
+                             for perm in all_permutations(3)])
+        got = v.substitute_d_eq_s()
+        assert got == d_eq_s(v)
+        assert got.term_count() == 2 * 6
+
+    @given(st.data())
+    def test_shared_coefficients_match_the_per_term_oracle(self, data):
+        kappa = data.draw(st.integers(min_value=1, max_value=3))
+        exps = st.tuples(*[st.integers(min_value=-2, max_value=2)] * kappa)
+        keys = st.tuples(exps, permutations(kappa=kappa))
+        v = SkeinElement(kappa, data.draw(shared_coefficient_runs(keys)))
+        got = v.substitute_d_eq_s()
+        expected = d_eq_s(v)
+        assert got == expected
+        assert str(got) == str(expected)
 
 
 class TestTextFormat:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from daha import (
     CheckReport,
@@ -19,6 +20,8 @@ from daha import (
     s_power,
     symmetrize,
 )
+from daha import polyrep, skein
+from daha.cli import main
 from daha.skein import act_word as skein_act_word
 from daha.verify import (
     Counterexample,
@@ -28,11 +31,14 @@ from daha.verify import (
     check_relations,
     check_subrep_closure,
     is_permutation_uniform,
+    is_symmetrization,
     monomial_grid,
     random_words,
     single_generator_words,
 )
 from daha.words import RelationPair
+
+from conftest import scalar_polys
 
 
 def sym_pair(exps) -> SkeinElement:
@@ -80,6 +86,82 @@ class TestSymmetrize:
         f = LaurentPoly.one(2).scale(d_power(1))
         with pytest.raises(ValueError, match="d"):
             symmetrize(f)
+
+
+@st.composite
+def d_free_polys(draw, kappa: int):
+    """Laurent polynomials whose coefficients have no d (symmetrize's domain)."""
+    exps = st.tuples(*[st.integers(min_value=-2, max_value=2)] * kappa)
+    terms = draw(st.lists(st.tuples(exps, scalar_polys(max_terms=3, min_terms=1)), max_size=4))
+    return LaurentPoly(kappa, [
+        (key, ScalarPoly([((e_s, e_c, 0), n) for (e_s, e_c, _), n in coeff.terms.items()]))
+        for key, coeff in terms
+    ])
+
+
+def _variants(f: LaurentPoly, data) -> dict[str, list]:
+    """Term lists of skein elements near symmetrize(f), by how they differ."""
+    kappa = f.rank
+    perms = list(all_permutations(kappa))
+    exact = [((exps, perm), coeff) for exps, coeff in f.terms.items() for perm in perms]
+    variants = {"exact": exact}
+    if not exact:
+        return variants
+    at = data.draw(st.integers(min_value=0, max_value=len(exact) - 1))
+    (exps, perm), coeff = exact[at]
+    variants["permutation dropped"] = exact[:at] + exact[at + 1:]
+    variants["equal copy"] = [
+        (key, ScalarPoly(dict(c.terms)) if n == at else c) for n, (key, c) in enumerate(exact)
+    ]
+    variants["wrong value"] = [
+        (key, c + ScalarPoly.one() if n == at else c) for n, (key, c) in enumerate(exact)
+    ]
+    spare = (3,) * kappa  # outside the exponent range of d_free_polys
+    variants["extra exponent vector"] = exact + [((spare, p), coeff) for p in perms]
+    variants["exponent vector replaced"] = [
+        ((spare if e == exps else e, p), c) for (e, p), c in exact
+    ]
+    # The object at exps, shared by every permutation there, also stands at
+    # another exponent vector: equal to f there only if the values agree.
+    other = data.draw(st.sampled_from(sorted(f.terms)))
+    variants["object shared across exponent vectors"] = [
+        ((e, p), coeff if e in (exps, other) else c) for (e, p), c in exact
+    ]
+    return variants
+
+
+class TestIsSymmetrization:
+    @given(st.data())
+    def test_agrees_with_building_the_symmetrization(self, data):
+        kappa = data.draw(st.integers(min_value=1, max_value=4))
+        f = data.draw(d_free_polys(kappa))
+        expected = symmetrize(f)
+        for name, terms in _variants(f, data).items():
+            v = SkeinElement(kappa, terms)
+            assert is_symmetrization(v, f) == (expected == v), name
+        assert is_symmetrization(expected, f)
+
+    def test_each_kind_of_difference_is_found(self):
+        f = LaurentPoly(2, [((1, 0), s_power(1)), ((0, -1), s_power(1) + ScalarPoly.one())])
+        exact = list(symmetrize(f).terms.items())
+        assert is_symmetrization(SkeinElement(2, exact), f)
+        assert not is_symmetrization(SkeinElement(2, exact[1:]), f)
+        extra = (((2, 2), Permutation.identity(2)), s_power(1))
+        assert not is_symmetrization(SkeinElement(2, exact + [extra]), f)
+        # The object that is right at (1, 0) also stands at (0, -1).
+        shared = [(key, exact[0][1]) for key, _ in exact]
+        assert not is_symmetrization(SkeinElement(2, shared), f)
+        wrong = [(key, c + ScalarPoly.one() if n == 3 else c) for n, (key, c) in enumerate(exact)]
+        assert not is_symmetrization(SkeinElement(2, wrong), f)
+        copied = [(key, ScalarPoly(dict(c.terms))) for key, c in exact]
+        assert is_symmetrization(SkeinElement(2, copied), f)
+
+    def test_rank_mismatch_and_d_coefficients_are_mismatches(self):
+        assert not is_symmetrization(SkeinElement.zero(3), LaurentPoly.zero(2))
+        assert is_symmetrization(SkeinElement.zero(2), LaurentPoly.zero(2))
+        with_d = LaurentPoly.one(2).scale(d_power(1))
+        v = SkeinElement(2, [(((0, 0), p), d_power(1)) for p in all_permutations(2)])
+        assert not is_symmetrization(v.substitute_d_eq_s(), with_d)
 
 
 class TestPermutationUniform:
@@ -162,6 +244,58 @@ class TestCheckIntertwiner:
         assert report.passed, report.counterexample
         assert report.seed == 5
         assert report.cases == 25 * len(monomial_grid(2, 1))
+
+
+def _flip_d(value: ScalarPoly) -> ScalarPoly:
+    return ScalarPoly([((e_s, e_c, -e_d), n) for (e_s, e_c, e_d), n in value.terms.items()])
+
+
+@pytest.fixture
+def flipped_d(monkeypatch):
+    """A wrong two-case rule: every power of d in s_i's action flips sign."""
+    original = skein.act_sigma_base
+
+    def flipped(i, perm):
+        out = original(i, perm)
+        return SkeinElement(out.kappa, [(key, _flip_d(c)) for key, c in out.terms.items()])
+
+    monkeypatch.setattr(skein, "act_sigma_base", flipped)
+
+
+def composed_report(kappa, words, monomials, seed) -> CheckReport:
+    """The intertwiner report as the composition
+    ``symmetrize(polyrep.act_word(w, f)) == rhs`` gives it."""
+    cases = failures = 0
+    first = None
+    for word in words:
+        for f in monomials:
+            lhs = symmetrize(polyrep.act_word(word, f))
+            rhs = skein.act_word(word, symmetrize(f)).substitute_d_eq_s()
+            cases += 1
+            if lhs != rhs:
+                failures += 1
+                if first is None:
+                    first = Counterexample(str(word), str(f), str(lhs), str(rhs))
+    return CheckReport("intertwiner", kappa, cases, failures, seed, first)
+
+
+class TestFailingIntertwiner:
+    def test_report_matches_the_composition(self, flipped_d):
+        words = single_generator_words(3) + random_words(3, 6, 3, seed=4)
+        monomials = monomial_grid(3, 1)
+        report = check_intertwiner(3, words, monomials, seed=4)
+        expected = composed_report(3, words, monomials, seed=4)
+        assert 0 < report.failures < report.cases
+        assert (report.cases, report.failures) == (expected.cases, expected.failures)
+        assert report.counterexample == expected.counterexample
+        assert report == expected
+
+    def test_check_command_exits_one(self, flipped_d, capsys):
+        code = main(["check", "--suite", "intertwiner", "--kappa", "2", "--max-exp", "1",
+                     "--num-words", "0"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL intertwiner:" in out and "     lhs:   " in out
 
 
 class TestCheckSubrep:
