@@ -21,6 +21,12 @@ _PUNCT = set("^*+-()[],")
 # so no interpreter flag changes which tokens are accepted.
 MAX_INT_DIGITS = 640
 
+# Largest |exponent| of a variable X_i or a_i in a parsed term, once the
+# term's factors are combined (``X1^10000*X1`` has exponent 10001).  Braid
+# letters sweep every degree between a term's exponents, so the cap keeps
+# that work in proportion to what the text can reasonably mean.
+MAX_EXPONENT = 10_000
+
 
 @dataclass(frozen=True)
 class Token:
@@ -115,6 +121,16 @@ def parse_signed_int(ts: TokenStream) -> int:
         pass
     tok = ts.expect("int", "exponent")
     return sign * int(tok.text)
+
+
+def check_exponents(exps: list[int], letter: str, pos: int) -> None:
+    """Reject a term whose combined exponent of some variable passes
+    :data:`MAX_EXPONENT`, at the position ``pos`` where the term starts."""
+    for i, exp in enumerate(exps, 1):
+        if abs(exp) > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent of {letter}{i} exceeds {MAX_EXPONENT} in absolute value", pos
+            )
 
 
 def parse_signed_sum(ts: TokenStream, parse_term: Callable[[TokenStream, int], object]) -> list:

@@ -25,6 +25,7 @@ import random
 import sys
 import time
 from dataclasses import asdict
+from math import factorial
 
 from . import __version__, polyrep, verify
 from . import skein as skein_mod
@@ -32,7 +33,16 @@ from .errors import ParseError, RankMismatchError
 from .laurent import LaurentPoly, parse_laurent
 from .skein import SkeinElement, parse_skein
 from .verify import CheckReport
-from .words import parse_word
+from .words import MAX_WORD_LETTERS, parse_word
+
+# Most random words ``daha check`` draws per suite (``--num-words``).
+MAX_NUM_WORDS = 1_000
+
+# Most terms in one input grid of ``daha check``: (2b+1)^kappa monomials for
+# exponent bound b, times kappa! where each grid point becomes a sum over the
+# permutations (the skein relation grid and the symmetrized intertwiner
+# inputs).  A subrep input counts as the symmetrized grid of bound 0.
+MAX_GRID_TERMS = 200_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,16 +120,49 @@ def _cap_inputs(inputs: list, cap: int | None, seed: int) -> list:
     return random.Random(seed).sample(inputs, cap)
 
 
+def _relation_bound(args: argparse.Namespace, rep: str) -> int:
+    if args.max_exp is not None:
+        return args.max_exp
+    return verify.default_relation_bound(args.kappa, rep)
+
+
+def _grid_bound(args: argparse.Namespace) -> int:
+    return args.max_exp if args.max_exp is not None else 2
+
+
+def _check_grid_sizes(args: argparse.Namespace) -> None:
+    """Reject a suite whose input grid passes :data:`MAX_GRID_TERMS`, before
+    any grid is built."""
+    kappa = args.kappa
+    grids = []  # (exponent bound, symmetrized, what the grid is)
+    if args.suite in ("relations", "all"):
+        for rep in ("poly", "skein"):
+            bound = _relation_bound(args, rep)
+            grids.append((bound, rep == "skein",
+                          f"--kappa {kappa} and --max-exp {bound} make the {rep} relation grid"))
+    if args.suite in ("intertwiner", "all"):
+        bound = _grid_bound(args)
+        grids.append((bound, True,
+                      f"--kappa {kappa} and --max-exp {bound} make the intertwiner grid"))
+    if args.suite in ("subrep", "all"):
+        grids.append((0, True, f"--kappa {kappa} makes each symmetrized subrep input"))
+    # Past 20 strands every one of these grids but an unsymmetrized one of
+    # bound 0 is over the cap, so the exponent stops there.
+    rank = min(kappa, 20)
+    for bound, symmetrized, what in grids:
+        if (2 * bound + 1) ** rank * (factorial(rank) if symmetrized else 1) > MAX_GRID_TERMS:
+            raise ValueError(f"{what} larger than {MAX_GRID_TERMS} terms")
+
+
 def _run_suites(args: argparse.Namespace) -> tuple[dict, list[CheckReport]]:
     kappa, seed = args.kappa, args.seed
-    grid_bound = args.max_exp if args.max_exp is not None else 2
+    grid_bound = _grid_bound(args)
     reports: list[CheckReport] = []
     sizes: dict = {}
 
     if args.suite in ("relations", "all"):
         for rep in ("poly", "skein"):
-            bound = (args.max_exp if args.max_exp is not None
-                     else verify.default_relation_bound(kappa, rep))
+            bound = _relation_bound(args, rep)
             if rep == "poly":
                 inputs = verify.monomial_grid(kappa, bound)
             else:
@@ -158,14 +201,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # A smaller value would leave a suite nothing to check (or fail to draw).
     # The intertwiner suite keeps its single-letter words at --num-words 0;
     # the subrep suite checks only the random words.
-    for flag, value, least in (
-        ("--max-exp", args.max_exp, 0),
-        ("--num-words", args.num_words, 1 if args.suite in ("subrep", "all") else 0),
-        ("--max-word-len", args.max_word_len, 1),
-        ("--max-inputs", args.max_inputs, 1),
+    # A larger value would build more than the documented caps allow.
+    for flag, value, least, most in (
+        ("--max-exp", args.max_exp, 0, None),
+        ("--num-words", args.num_words, 1 if args.suite in ("subrep", "all") else 0,
+         MAX_NUM_WORDS),
+        ("--max-word-len", args.max_word_len, 1, MAX_WORD_LETTERS),
+        ("--max-inputs", args.max_inputs, 1, None),
     ):
         if value is not None and value < least:
             raise ValueError(f"{flag} must be >= {least}, got {value}")
+        if most is not None and value > most:
+            raise ValueError(f"{flag} must be <= {most}, got {value}")
+    _check_grid_sizes(args)
     header = {
         "record": "header",
         "suite": args.suite,

@@ -41,7 +41,7 @@ from operator import add, index
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._tokens import TokenStream, parse_signed_int, parse_signed_sum
+from ._tokens import TokenStream, check_exponents, parse_signed_int, parse_signed_sum
 from .errors import NonDivisibleError, ParseError, RankMismatchError
 from .scalars import (
     ScalarPoly, _format_scalar_term, c_power, hbar, join_signed, parse_scalar_factor,
@@ -466,6 +466,7 @@ def parse_laurent(text: str, rank: int) -> LaurentPoly:
 def _parse_laurent_term(ts: TokenStream, rank: int, sign: int) -> tuple[ExponentVector, ScalarPoly]:
     coeff = ScalarPoly.integer(sign)
     exps = [0] * rank
+    start = ts.peek().pos
     while True:
         tok = ts.peek()
         factor = parse_scalar_factor(ts)
@@ -488,4 +489,5 @@ def _parse_laurent_term(ts: TokenStream, rank: int, sign: int) -> tuple[Exponent
                 f"expected a polynomial factor, found {tok.text or 'end of input'!r}", tok.pos
             )
         if not ts.accept("*"):
+            check_exponents(exps, "X", start)
             return tuple(exps), coeff

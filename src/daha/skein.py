@@ -73,7 +73,7 @@ from functools import partial
 from operator import add, index
 from typing import Iterable, Iterator, Sequence
 
-from ._tokens import TokenStream, parse_signed_int, parse_signed_sum
+from ._tokens import TokenStream, check_exponents, parse_signed_int, parse_signed_sum
 from .errors import ParseError, RankMismatchError
 from .laurent import (
     LaurentPoly, SparseCombination, _monomial_string, _wrap, accumulate, braid_kernel,
@@ -451,7 +451,7 @@ def _starts_basis_pair(ts: TokenStream) -> bool:
 
 
 def _parse_basis_pair(ts: TokenStream, kappa: int) -> tuple[ExponentVector, Permutation]:
-    ts.expect("(", "'('")
+    start = ts.expect("(", "'('").pos
     exps = [0] * kappa
     tok = ts.peek()
     if tok.kind == "int" and tok.text == "1":
@@ -468,6 +468,7 @@ def _parse_basis_pair(ts: TokenStream, kappa: int) -> tuple[ExponentVector, Perm
             exps[tok.index - 1] += exp
             if not ts.accept("*"):
                 break
+        check_exponents(exps, "a", start)
     ts.expect(",", "','")
     ts.expect("[", "'['")
     images = []

@@ -21,7 +21,10 @@ The three checks are finite, exact (zero-tolerance) test suites:
   image term by term, and symmetrize(image) is built only as the
   counterexample's left side;
 * :func:`check_subrep_closure` -- the d = s skein action maps symmetrized
-  elements to elements with permutation-uniform coefficients.
+  elements back into the symmetrized subspace.  An image lies there exactly
+  when it is the symmetrization of the polynomial that takes one of its
+  coefficients at each of its exponent vectors, so
+  :func:`is_symmetrization` decides membership too.
 
 Each check walks every case, never stops early, counts failures, and keeps
 the first counterexample, so a systematic error is visible in full.
@@ -135,18 +138,6 @@ def is_symmetrization(v: SkeinElement, f: LaurentPoly) -> bool:
             if want is None or coeff._terms != want._terms:
                 return False
             confirmed[exps] = coeff
-    return True
-
-
-def is_permutation_uniform(v: SkeinElement) -> bool:
-    """Whether v lies in the symmetrized subspace: for every exponent vector
-    the coefficient is the same for all kappa! permutations."""
-    perms = list(all_permutations(v._rank))
-    exponent_vectors = {exps for exps, _ in v._terms}
-    for exps in exponent_vectors:
-        coeffs = {v._terms.get((exps, perm)) for perm in perms}
-        if len(coeffs) != 1:
-            return False
     return True
 
 
@@ -285,11 +276,14 @@ def check_subrep_closure(
     seed: int | None = None,
 ) -> CheckReport:
     """Check that the d = s skein action keeps symmetrized elements inside
-    the symmetrized subspace (permutation-uniform coefficients)."""
+    the symmetrized subspace: each image must be the symmetrization
+    (:func:`is_symmetrization`) of the polynomial g that holds one of its
+    coefficients at each of its exponent vectors."""
     tally = _Tally()
     for word, f in zip(words, monomials):
         image = skein_mod.act_word(word, symmetrize(f)).substitute_d_eq_s()
-        tally.record(is_permutation_uniform(image), str(word), f, image, "<permutation-uniform>")
+        g = _wrap(LaurentPoly, image._rank, {exps: c for (exps, _), c in image._terms.items()})
+        tally.record(is_symmetrization(image, g), str(word), f, image, "<permutation-uniform>")
     return tally.report("subrep", kappa, seed)
 
 

@@ -32,7 +32,8 @@ def combination_sum(f, g, rank: int):
     Keys reach the validating constructor once each and with a nonzero
     coefficient, so it has nothing left to merge or prune.
     """
-    assert type(f) is type(g)
+    if type(f) is not type(g):
+        raise TypeError(f"cannot add {type(f).__name__} and {type(g).__name__}")
     merged: dict = {}
     for key, coeff in [*f.terms.items(), *g.terms.items()]:
         merged.setdefault(key, []).extend(coeff.terms.items())
@@ -49,7 +50,8 @@ def scalar_product(a: ScalarPoly, b: ScalarPoly) -> ScalarPoly:
 
 
 def laurent_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    assert f.rank == g.rank
+    if f.rank != g.rank:
+        raise ValueError(f"ranks {f.rank} and {g.rank} differ")
     return LaurentPoly(f.rank, [
         (tuple(x + y for x, y in zip(f_key, g_key)), scalar_product(f_coeff, g_coeff))
         for f_key, f_coeff in f.terms.items()

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from daha import CheckReport, Counterexample, LaurentPoly
-from daha._tokens import MAX_INT_DIGITS
-from daha.cli import main
+from daha import CheckReport, Counterexample, LaurentPoly, verify
+from daha import cli
+from daha._tokens import MAX_EXPONENT, MAX_INT_DIGITS
+from daha.cli import MAX_GRID_TERMS, MAX_NUM_WORDS, main
 from daha.words import MAX_WORD_LETTERS
 
 
@@ -195,6 +196,71 @@ class TestCheck:
             assert "PASS intertwiner: cases=11" in out
 
 
+class TestCheckCaps:
+    """Suite sizes over a documented cap exit 2 before any input is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_grids(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an input grid was built")
+
+        for name in ("monomial_grid", "basis_grid", "random_words"):
+            monkeypatch.setattr(verify, name, refuse)
+
+    @pytest.mark.parametrize("flag, cap", [
+        ("--num-words", MAX_NUM_WORDS),
+        ("--max-word-len", MAX_WORD_LETTERS),
+    ])
+    def test_word_suite_over_its_cap_exits_two(self, capsys, flag, cap):
+        code, out, err = run(capsys, "check", "--suite", "all", "--kappa", "2", flag, str(cap + 1))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be <= {cap}, got {cap + 1}")
+
+    def test_grid_over_the_cap_exits_two(self, capsys):
+        code, out, err = run(capsys, "check", "--suite", "relations", "--kappa", "2",
+                             "--max-exp", "3000", "--max-inputs", "5")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: --kappa 2 and --max-exp 3000 make the poly relation grid "
+                       f"larger than {MAX_GRID_TERMS} terms\n")
+
+    @pytest.mark.parametrize("suite, grid", [
+        ("relations", "skein relation grid"),
+        ("intertwiner", "intertwiner grid"),
+    ])
+    def test_symmetrized_grid_one_term_over_the_cap_exits_two(self, capsys, monkeypatch,
+                                                              suite, grid):
+        # kappa 2, bound 1: 3^2 monomials times 2! permutations is 18 terms.
+        monkeypatch.setattr(cli, "MAX_GRID_TERMS", 17)
+        code, out, err = run(capsys, "check", "--suite", suite, "--kappa", "2", "--max-exp", "1")
+        assert code == 2
+        assert out == ""
+        assert f"make the {grid} larger than 17 terms" in err
+
+    def test_subrep_input_one_term_over_the_cap_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_TERMS", 5)  # 3! = 6 terms
+        code, out, err = run(capsys, "check", "--suite", "subrep", "--kappa", "3")
+        assert code == 2
+        assert out == ""
+        assert "--kappa 3 makes each symmetrized subrep input larger than 5 terms" in err
+
+    def test_kappa_far_over_the_cap_exits_two(self, capsys):
+        code, _, err = run(capsys, "check", "--suite", "intertwiner", "--kappa", "10" * 10,
+                           "--max-exp", "0")
+        assert code == 2
+        assert "make the intertwiner grid larger than" in err
+
+
+class TestCheckCapBoundaries:
+    def test_grids_at_the_cap_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_TERMS", 18)
+        code, out, _ = run(capsys, "check", "--suite", "all", "--kappa", "2", "--max-exp", "1",
+                           "--num-words", "1", "--max-word-len", "1")
+        assert code == 0
+        assert "relations_skein_inputs=18" in out and "FAIL" not in out
+
+
 class TestBench:
     def test_smoke(self, capsys):
         code, out, _ = run(capsys, "bench", "--kappa", "2", "--word-len", "4",
@@ -213,6 +279,19 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--kappa", "1", "--word-len", "3")
         assert code == 0
         assert "skein:" in out
+
+
+class TestExponentCap:
+    @pytest.mark.parametrize("rep, elem", [
+        ("poly", f"X1^{MAX_EXPONENT + 1}"),
+        ("skein", f"(a1^{MAX_EXPONENT + 1},[1 2])"),
+    ])
+    def test_exponent_over_the_cap_exits_two(self, capsys, rep, elem):
+        code, out, err = run(capsys, "eval", "--rep", rep, "--kappa", "2",
+                             "--word", "s1", "--elem", elem)
+        assert code == 2
+        assert out == ""
+        assert f"exceeds {MAX_EXPONENT} in absolute value (at position 0)" in err
 
 
 class TestIntegerTokens:

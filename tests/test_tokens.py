@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from daha import parse_laurent, parse_scalar, parse_word
-from daha._tokens import MAX_INT_DIGITS, tokenize
+from daha import parse_laurent, parse_scalar, parse_skein, parse_word
+from daha._tokens import MAX_EXPONENT, MAX_INT_DIGITS, tokenize
 from daha.errors import ParseError
 
 
@@ -48,3 +48,31 @@ def test_coefficient_of_exactly_the_cap_parses():
     value = parse_laurent(f"{digits}*X1", 1)
     assert value.terms[(1,)] == parse_scalar(digits)
     assert str(value) == f"{digits}*X1"
+
+
+_OVER = MAX_EXPONENT + 1
+
+
+@pytest.mark.parametrize("text, variable, pos", [
+    (f"X1^{_OVER}", "X1", 0),
+    (f"1 + 3*X1^{MAX_EXPONENT}*X2*X1", "X1", 4),
+    (f"X2 - X1*X2^-{_OVER}", "X2", 5),
+])
+def test_laurent_exponent_over_the_cap_is_rejected(text, variable, pos):
+    with pytest.raises(ParseError, match=f"exponent of {variable} exceeds {MAX_EXPONENT}") as info:
+        parse_laurent(text, 2)
+    assert info.value.pos == pos
+
+
+def test_skein_exponent_over_the_cap_is_rejected():
+    text = f"(a1,[1 2]) + s*(a2^{MAX_EXPONENT}*a1*a2,[2 1])"
+    with pytest.raises(ParseError, match=f"exponent of a2 exceeds {MAX_EXPONENT}") as info:
+        parse_skein(text, 2)
+    assert info.value.pos == text.index("(a2")
+
+
+def test_exponents_at_the_cap_parse():
+    assert parse_laurent(f"X1^{_OVER}*X1^-1*X2^-{MAX_EXPONENT}", 2).terms == {
+        (MAX_EXPONENT, -MAX_EXPONENT): parse_scalar("1"),
+    }
+    assert str(parse_skein(f"(a1^-{MAX_EXPONENT},[1 2])", 2)) == f"(a1^-{MAX_EXPONENT},[1 2])"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,7 +31,6 @@ from daha.verify import (
     check_intertwiner,
     check_relations,
     check_subrep_closure,
-    is_permutation_uniform,
     is_symmetrization,
     monomial_grid,
     random_words,
@@ -164,17 +164,68 @@ class TestIsSymmetrization:
         assert not is_symmetrization(v.substitute_d_eq_s(), with_d)
 
 
+def is_permutation_uniform(v: SkeinElement) -> bool:
+    """Oracle for the subrep check: whether v lies in the symmetrized
+    subspace, i.e. for every exponent vector the coefficient is the same for
+    all kappa! permutations."""
+    perms = list(all_permutations(v.kappa))
+    for exps in {exps for exps, _ in v.terms}:
+        if len({v.terms.get((exps, perm)) for perm in perms}) != 1:
+            return False
+    return True
+
+
+def subrep_decision(image: SkeinElement) -> bool:
+    """Whether :func:`check_subrep_closure` passes a case whose d = s image
+    is ``image``: the skein action is replaced by one that returns it."""
+    kappa = image.kappa
+    with mock.patch.object(skein, "act_word", lambda word, v: image):
+        report = check_subrep_closure(kappa, [GeneratorWord(kappa)], [LaurentPoly.one(kappa)])
+    assert report.cases == 1
+    if report.failures:
+        expected = Counterexample("", "1", str(image), "<permutation-uniform>")
+        assert report.counterexample == expected
+    return report.passed
+
+
 class TestPermutationUniform:
     def test_symmetrized_elements_are_uniform(self):
-        assert is_permutation_uniform(sym_pair((1, -1)))
-        assert is_permutation_uniform(SkeinElement.zero(2))
+        for v in (sym_pair((1, -1)), *(SkeinElement.zero(kappa) for kappa in (1, 2, 3, 4))):
+            assert is_permutation_uniform(v)
+            assert subrep_decision(v)
 
     def test_single_basis_term_is_not(self):
-        assert not is_permutation_uniform(SkeinElement.basis(2, (0, 0)))
+        v = SkeinElement.basis(2, (0, 0))
+        assert not is_permutation_uniform(v)
+        assert not subrep_decision(v)
 
     def test_mismatched_coefficients_are_not(self):
         v = sym_pair((0, 0)) + SkeinElement.basis(2, (0, 0)).scale(s_power(1))
         assert not is_permutation_uniform(v)
+        assert not subrep_decision(v)
+
+    @given(st.data())
+    def test_subrep_check_agrees_with_the_oracle(self, data):
+        kappa = data.draw(st.integers(min_value=1, max_value=4))
+        f = data.draw(d_free_polys(kappa))
+        # A copy per permutation: equal coefficients need not be one object.
+        uniform = [
+            ((exps, perm), ScalarPoly(dict(coeff.terms)))
+            for exps, coeff in f.terms.items()
+            for perm in all_permutations(kappa)
+        ]
+        images = {"uniform": uniform}
+        if uniform:
+            at = data.draw(st.integers(min_value=0, max_value=len(uniform) - 1))
+            images["permutation missing"] = uniform[:at] + uniform[at + 1:]
+            bump = data.draw(scalar_polys(max_terms=2, min_terms=1)).substitute_d_eq_s()
+            images["coefficient different"] = [
+                (key, c + bump if n == at else c) for n, (key, c) in enumerate(uniform)
+            ]
+        for name, terms in images.items():
+            image = SkeinElement(kappa, terms)
+            assert subrep_decision(image) == is_permutation_uniform(image), name
+        assert is_permutation_uniform(SkeinElement(kappa, uniform))
 
 
 class TestCheckReport:
