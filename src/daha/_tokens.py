@@ -27,6 +27,11 @@ MAX_INT_DIGITS = 640
 # that work in proportion to what the text can reasonably mean.
 MAX_EXPONENT = 10_000
 
+# Most characters in one text, checked before any token is built.  The token
+# list costs over a hundred times the text: the 666,668 tokens of a
+# 1,000,000-character ``X1+X1+...`` hold 119 MB.
+MAX_TEXT_CHARS = 100_000
+
 
 @dataclass(frozen=True)
 class Token:
@@ -48,6 +53,8 @@ def _digits_end(text: str, i: int) -> int:
 
 
 def tokenize(text: str) -> list[Token]:
+    if len(text) > MAX_TEXT_CHARS:
+        raise ParseError(f"text longer than {MAX_TEXT_CHARS} characters", MAX_TEXT_CHARS)
     tokens: list[Token] = []
     i, n = 0, len(text)
     while i < n:

@@ -10,11 +10,14 @@ Three subcommands:
 * ``daha bench`` -- time random-word actions in both representations and
   report term-count growth.
 
-Exit codes are a stable contract: 0 success, 1 at least one check failed,
-2 usage or parse error.  Every check header echoes kappa, the seed and the
-suite sizes so runs are reproducible; with ``--format json-lines`` the same
-information is emitted as one JSON record per line (a ``header`` record
-followed by ``check`` records; see the README for the schema).
+Every numeric flag has a range, stated once per command as ``(flag, least,
+most)`` rows for :func:`_check_ranges`; a value outside it is a usage error,
+``<flag> must be >= <least>, got <value>`` (or ``<= <most>``).  Exit codes
+are a stable contract: 0 success, 1 at least one check failed, 2 usage or
+parse error.  Every check header echoes kappa, the seed and the suite sizes
+so runs are reproducible; with ``--format json-lines`` the same information
+is emitted as one JSON record per line (a ``header`` record followed by
+``check`` records; see the README for the schema).
 """
 
 from __future__ import annotations
@@ -33,9 +36,14 @@ from .errors import ParseError, RankMismatchError
 from .laurent import LaurentPoly, parse_laurent
 from .skein import SkeinElement, parse_skein
 from .verify import CheckReport
-from .words import MAX_WORD_LETTERS, parse_word
+from .words import MAX_WORD_LETTERS, GeneratorWord, parse_word
 
-# Most random words ``daha check`` draws per suite (``--num-words``).
+# Most strands ``daha eval`` and ``daha bench`` accept (``--kappa``); the grid
+# cap bounds ``daha check``'s.  A 100,000-character ``--elem`` parses in ~40 MB.
+MAX_KAPPA = 100
+
+# Most random words ``daha check`` draws per suite (``--num-words``), and
+# ``daha bench`` times (``--count``).
 MAX_NUM_WORDS = 1_000
 
 # Most terms in one input grid of ``daha check``: (2b+1)^kappa monomials for
@@ -96,9 +104,19 @@ def _read_arg(inline: str | None, path: str | None) -> str:
         return handle.read().strip()
 
 
+def _check_ranges(args: argparse.Namespace, *ranges: tuple[str, int, int | None]) -> None:
+    """Reject the first flag outside its ``(flag, least, most)`` range.  An
+    unset flag passes, and ``most`` None is no upper bound."""
+    for flag, least, most in ranges:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
+        if value is not None and most is not None and value > most:
+            raise ValueError(f"{flag} must be <= {most}, got {value}")
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
-    if args.kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {args.kappa}")
+    _check_ranges(args, ("--kappa", 1, MAX_KAPPA))
     word_text = _read_arg(args.word, args.word_file)
     elem_text = _read_arg(args.elem, args.elem_file)
     word = parse_word(word_text, args.kappa)
@@ -120,112 +138,92 @@ def _cap_inputs(inputs: list, cap: int | None, seed: int) -> list:
     return random.Random(seed).sample(inputs, cap)
 
 
-def _relation_bound(args: argparse.Namespace, rep: str) -> int:
-    if args.max_exp is not None:
-        return args.max_exp
-    return verify.default_relation_bound(args.kappa, rep)
+def _suite_plan(args: argparse.Namespace) -> list[tuple[str, int]]:
+    """The checks ``--suite`` selects, in run order, each with its exponent
+    bound.  ``poly`` and ``skein`` are the relation suites, which default to
+    :func:`verify.default_relation_bound`; ``intertwiner`` and ``subrep``
+    default to 2.  ``--max-exp`` overrides every default."""
+    plan = []
+    for suite, name in (("relations", "poly"), ("relations", "skein"),
+                        ("intertwiner", "intertwiner"), ("subrep", "subrep")):
+        if args.suite in (suite, "all"):
+            default = verify.default_relation_bound(args.kappa, name) if suite == "relations" else 2
+            plan.append((name, default if args.max_exp is None else args.max_exp))
+    return plan
 
 
-def _grid_bound(args: argparse.Namespace) -> int:
-    return args.max_exp if args.max_exp is not None else 2
-
-
-def _check_grid_sizes(args: argparse.Namespace) -> None:
-    """Reject a suite whose input grid passes :data:`MAX_GRID_TERMS`, before
-    any grid is built."""
-    kappa = args.kappa
-    grids = []  # (exponent bound, symmetrized, what the grid is)
-    if args.suite in ("relations", "all"):
-        for rep in ("poly", "skein"):
-            bound = _relation_bound(args, rep)
-            grids.append((bound, rep == "skein",
-                          f"--kappa {kappa} and --max-exp {bound} make the {rep} relation grid"))
-    if args.suite in ("intertwiner", "all"):
-        bound = _grid_bound(args)
-        grids.append((bound, True,
-                      f"--kappa {kappa} and --max-exp {bound} make the intertwiner grid"))
-    if args.suite in ("subrep", "all"):
-        grids.append((0, True, f"--kappa {kappa} makes each symmetrized subrep input"))
+def _check_grid_sizes(kappa: int, plan: list[tuple[str, int]]) -> None:
+    """Reject a planned suite whose input grid passes :data:`MAX_GRID_TERMS`,
+    before any grid is built."""
     # Past 20 strands every one of these grids but an unsymmetrized one of
     # bound 0 is over the cap, so the exponent stops there.
     rank = min(kappa, 20)
-    for bound, symmetrized, what in grids:
-        if (2 * bound + 1) ** rank * (factorial(rank) if symmetrized else 1) > MAX_GRID_TERMS:
+    for name, bound in plan:
+        if name == "subrep":  # each input is one symmetrized monomial
+            terms, what = factorial(rank), f"--kappa {kappa} makes each symmetrized subrep input"
+        else:
+            terms = (2 * bound + 1) ** rank * (1 if name == "poly" else factorial(rank))
+            grid = f"{name} relation" if name in ("poly", "skein") else name
+            what = f"--kappa {kappa} and --max-exp {bound} make the {grid} grid"
+        if terms > MAX_GRID_TERMS:
             raise ValueError(f"{what} larger than {MAX_GRID_TERMS} terms")
 
 
-def _run_suites(args: argparse.Namespace) -> tuple[dict, list[CheckReport]]:
+def _run_suites(args: argparse.Namespace,
+                plan: list[tuple[str, int]]) -> tuple[dict, list[CheckReport]]:
     kappa, seed = args.kappa, args.seed
-    grid_bound = _grid_bound(args)
     reports: list[CheckReport] = []
     sizes: dict = {}
+    words = None  # the random words, drawn once for both suites that use them
 
-    if args.suite in ("relations", "all"):
-        for rep in ("poly", "skein"):
-            bound = _relation_bound(args, rep)
-            if rep == "poly":
-                inputs = verify.monomial_grid(kappa, bound)
-            else:
-                inputs = verify.basis_grid(kappa, bound)
-            inputs = _cap_inputs(inputs, args.max_inputs, seed)
-            sizes[f"relations_{rep}_inputs"] = len(inputs)
-            sizes[f"relations_{rep}_bound"] = bound
-            reports.extend(verify.check_relations(kappa, rep, inputs))
-
-    if args.suite in ("intertwiner", "all"):
-        words = verify.single_generator_words(kappa)
-        words += verify.random_words(kappa, args.num_words, args.max_word_len, seed)
-        monomials = _cap_inputs(verify.monomial_grid(kappa, grid_bound), args.max_inputs, seed)
-        sizes["intertwiner_words"] = len(words)
-        sizes["intertwiner_monomials"] = len(monomials)
-        reports.append(verify.check_intertwiner(kappa, words, monomials, seed=seed))
-
-    if args.suite in ("subrep", "all"):
-        words = verify.random_words(kappa, args.num_words, args.max_word_len, seed)
-        rng = random.Random(seed + 1)
-        monomials = [
-            LaurentPoly.monomial(
-                kappa, [rng.randint(-grid_bound, grid_bound) for _ in range(kappa)]
-            )
-            for _ in words
-        ]
-        sizes["subrep_words"] = len(words)
-        reports.append(verify.check_subrep_closure(kappa, words, monomials, seed=seed))
+    for name, bound in plan:
+        if name in ("poly", "skein"):
+            grid = verify.monomial_grid if name == "poly" else verify.basis_grid
+            inputs = _cap_inputs(grid(kappa, bound), args.max_inputs, seed)
+            sizes[f"relations_{name}_inputs"] = len(inputs)
+            sizes[f"relations_{name}_bound"] = bound
+            reports.extend(verify.check_relations(kappa, name, inputs))
+            continue
+        if words is None:
+            words = verify.random_words(kappa, args.num_words, args.max_word_len, seed)
+        if name == "intertwiner":
+            all_words = verify.single_generator_words(kappa) + words
+            monomials = _cap_inputs(verify.monomial_grid(kappa, bound), args.max_inputs, seed)
+            sizes["intertwiner_words"] = len(all_words)
+            sizes["intertwiner_monomials"] = len(monomials)
+            reports.append(verify.check_intertwiner(kappa, all_words, monomials, seed=seed))
+        else:
+            rng = random.Random(seed + 1)
+            monomials = [
+                LaurentPoly.monomial(kappa, [rng.randint(-bound, bound) for _ in range(kappa)])
+                for _ in words
+            ]
+            sizes["subrep_words"] = len(words)
+            reports.append(verify.check_subrep_closure(kappa, words, monomials, seed=seed))
 
     return sizes, reports
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    if args.kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {args.kappa}")
+    plan = _suite_plan(args)
     # A smaller value would leave a suite nothing to check (or fail to draw).
     # The intertwiner suite keeps its single-letter words at --num-words 0;
     # the subrep suite checks only the random words.
     # A larger value would build more than the documented caps allow.
-    for flag, value, least, most in (
-        ("--max-exp", args.max_exp, 0, None),
-        ("--num-words", args.num_words, 1 if args.suite in ("subrep", "all") else 0,
-         MAX_NUM_WORDS),
-        ("--max-word-len", args.max_word_len, 1, MAX_WORD_LETTERS),
-        ("--max-inputs", args.max_inputs, 1, None),
-    ):
-        if value is not None and value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
-        if most is not None and value > most:
-            raise ValueError(f"{flag} must be <= {most}, got {value}")
-    _check_grid_sizes(args)
-    header = {
-        "record": "header",
-        "suite": args.suite,
-        "kappa": args.kappa,
-        "seed": args.seed,
-        "max_exp": args.max_exp,
-        "num_words": args.num_words,
-        "max_word_len": args.max_word_len,
-        "max_inputs": args.max_inputs,
-    }
+    _check_ranges(
+        args,
+        ("--kappa", 1, None),
+        ("--max-exp", 0, None),
+        ("--num-words", 1 if "subrep" in dict(plan) else 0, MAX_NUM_WORDS),
+        ("--max-word-len", 1, MAX_WORD_LETTERS),
+        ("--max-inputs", 1, None),
+    )
+    _check_grid_sizes(args.kappa, plan)
+    header = {"record": "header"}
+    header.update((key, getattr(args, key)) for key in (
+        "suite", "kappa", "seed", "max_exp", "num_words", "max_word_len", "max_inputs"))
     try:
-        sizes, reports = _run_suites(args)
+        sizes, reports = _run_suites(args, plan)
     except ArithmeticError as exc:
         # An arithmetic failure inside a suite is itself a check failure.
         reports = [CheckReport(
@@ -263,13 +261,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.kappa < 1 or args.word_len < 1 or args.count < 1:
-        raise ValueError("kappa, word length and count must all be >= 1")
+    _check_ranges(args, ("--kappa", 1, MAX_KAPPA), ("--word-len", 1, MAX_WORD_LETTERS),
+                  ("--count", 1, MAX_NUM_WORDS))
     kappa = args.kappa
     alphabet = verify.default_alphabet(kappa)
     rng = random.Random(args.seed)
-    from .words import GeneratorWord
-
     words = [
         GeneratorWord(kappa, [rng.choice(alphabet) for _ in range(args.word_len)])
         for _ in range(args.count)

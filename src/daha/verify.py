@@ -161,32 +161,23 @@ def basis_grid(kappa: int, bound: int) -> list[SkeinElement]:
     ]
 
 
+def _generator_letters(kappa: int) -> list[GeneratorLetter]:
+    """Every generator and derived loop generator letter, each sign in turn:
+    the braid letters s_i, then the loop letters x_i, then y_i."""
+    indices = {"s": range(1, kappa), "x": range(1, kappa + 1), "y": range(1, kappa + 1)}
+    return [GeneratorLetter(kind, i, sign)
+            for kind, kind_indices in indices.items() for i in kind_indices for sign in (1, -1)]
+
+
 def default_alphabet(kappa: int) -> list[GeneratorLetter]:
     """Single letters used in random words: all braid letters, all loop
     letters x_i, and y_1, with both signs."""
-    letters = []
-    for i in range(1, kappa):
-        letters.append(GeneratorLetter("s", i, 1))
-        letters.append(GeneratorLetter("s", i, -1))
-    for i in range(1, kappa + 1):
-        letters.append(GeneratorLetter("x", i, 1))
-        letters.append(GeneratorLetter("x", i, -1))
-    letters.append(GeneratorLetter("y", 1, 1))
-    letters.append(GeneratorLetter("y", 1, -1))
-    return letters
+    return [letter for letter in _generator_letters(kappa) if letter.kind != "y" or letter.index == 1]
 
 
 def single_generator_words(kappa: int) -> list[GeneratorWord]:
     """Every generator and derived loop generator, with both signs."""
-    words = []
-    for i in range(1, kappa):
-        for sign in (1, -1):
-            words.append(GeneratorWord(kappa, [GeneratorLetter("s", i, sign)]))
-    for kind in ("x", "y"):
-        for i in range(1, kappa + 1):
-            for sign in (1, -1):
-                words.append(GeneratorWord(kappa, [GeneratorLetter(kind, i, sign)]))
-    return words
+    return [GeneratorWord(kappa, [letter]) for letter in _generator_letters(kappa)]
 
 
 def random_words(kappa: int, count: int, max_len: int, seed: int) -> list[GeneratorWord]:

@@ -8,8 +8,8 @@ import pytest
 
 from daha import CheckReport, Counterexample, LaurentPoly, verify
 from daha import cli
-from daha._tokens import MAX_EXPONENT, MAX_INT_DIGITS
-from daha.cli import MAX_GRID_TERMS, MAX_NUM_WORDS, main
+from daha._tokens import MAX_EXPONENT, MAX_INT_DIGITS, MAX_TEXT_CHARS
+from daha.cli import MAX_GRID_TERMS, MAX_KAPPA, MAX_NUM_WORDS, main
 from daha.words import MAX_WORD_LETTERS
 
 
@@ -59,7 +59,7 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--rep", "poly", "--kappa", "0",
                            "--word", "", "--elem", "1")
         assert code == 2
-        assert "error: kappa must be >= 1" in err
+        assert err == "error: --kappa must be >= 1, got 0\n"
 
     def test_word_over_the_length_cap_exits_two(self, capsys):
         code, _, err = run(capsys, "eval", "--rep", "poly", "--kappa", "2",
@@ -169,6 +169,20 @@ class TestCheck:
         assert out == ""
         assert err.startswith(f"error: {flag} must be >= ")
 
+    def test_suite_all_draws_the_random_words_once(self, capsys, monkeypatch):
+        calls = []
+        real = verify.random_words
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "random_words", counting)
+        code, _, _ = run(capsys, "check", "--suite", "all", "--kappa", "2", "--max-exp", "0",
+                         "--num-words", "2", "--max-word-len", "1", "--max-inputs", "1")
+        assert code == 0
+        assert calls == [(2, 2, 1, 0)]
+
     def test_smallest_suite_sizes_are_accepted(self, capsys):
         code, out, _ = run(capsys, "check", "--suite", "intertwiner", "--kappa", "2",
                            "--max-exp", "0", "--num-words", "0", "--max-word-len", "1",
@@ -252,6 +266,46 @@ class TestCheckCaps:
         assert "make the intertwiner grid larger than" in err
 
 
+class TestFlagCaps:
+    """``eval`` and ``bench`` flags over a documented cap exit 2 before any
+    element or word is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_builders(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an element or word was built")
+
+        for name in ("parse_word", "parse_laurent", "parse_skein", "GeneratorWord"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(verify, "default_alphabet", refuse)
+
+    @pytest.mark.parametrize("rep", ["poly", "skein"])
+    def test_eval_kappa_over_the_cap_exits_two(self, capsys, rep):
+        code, out, err = run(capsys, "eval", "--rep", rep, "--kappa", str(MAX_KAPPA + 1),
+                             "--word", "", "--elem", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: --kappa must be <= {MAX_KAPPA}, got {MAX_KAPPA + 1}\n"
+
+    @pytest.mark.parametrize("flag, cap", [
+        ("--kappa", MAX_KAPPA),
+        ("--word-len", MAX_WORD_LETTERS),
+        ("--count", MAX_NUM_WORDS),
+    ])
+    def test_bench_flag_over_its_cap_exits_two(self, capsys, flag, cap):
+        argv = {"--kappa": "2", "--word-len": "2", "--count": "1", flag: str(cap + 1)}
+        code, out, err = run(capsys, "bench", *[part for item in argv.items() for part in item])
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be <= {cap}, got {cap + 1}\n"
+
+
+class TestTextCap:
+    def test_element_over_the_text_cap_exits_two(self, capsys):
+        code, out, err = run(capsys, "eval", "--rep", "poly", "--kappa", "2", "--word", "",
+                             "--elem", " " * MAX_TEXT_CHARS + "1")
+        assert (code, out) == (2, "")
+        assert f"text longer than {MAX_TEXT_CHARS} characters" in err
+
+
 class TestCheckCapBoundaries:
     def test_grids_at_the_cap_run(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_GRID_TERMS", 18)
@@ -273,7 +327,7 @@ class TestBench:
     def test_bad_count_exits_two(self, capsys):
         code, _, err = run(capsys, "bench", "--kappa", "2", "--word-len", "2", "--count", "0")
         assert code == 2
-        assert "error: kappa, word length and count must all be >= 1" in err
+        assert err == "error: --count must be >= 1, got 0\n"
 
     def test_rank_one_fast_path(self, capsys):
         code, out, _ = run(capsys, "bench", "--kappa", "1", "--word-len", "3")

@@ -69,6 +69,9 @@ CASES = {
     "error_poly_bad_factor": [
         "eval", "--rep", "poly", "--kappa", "3", "--word", "s1", "--elem", "X1 + * X2",
     ],
+    "error_eval_kappa_zero": [
+        "eval", "--rep", "poly", "--kappa", "0", "--word", "", "--elem", "1",
+    ],
     "error_word_index": [
         "eval", "--rep", "poly", "--kappa", "3", "--word", "x4", "--elem", "1",
     ],

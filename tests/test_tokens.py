@@ -1,4 +1,4 @@
-"""Tests for the shared tokenizer: decimal digits only, and the digit cap.
+"""Tests for the shared tokenizer: decimal digits only, and the digit and text caps.
 
 Run also under ``python -X int_max_str_digits=640``: the cap, not the
 interpreter's conversion limit, decides which integers are accepted.
@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from daha import parse_laurent, parse_scalar, parse_skein, parse_word
-from daha._tokens import MAX_EXPONENT, MAX_INT_DIGITS, tokenize
+from daha import _tokens, parse_laurent, parse_scalar, parse_skein, parse_word
+from daha._tokens import MAX_EXPONENT, MAX_INT_DIGITS, MAX_TEXT_CHARS, tokenize
 from daha.errors import ParseError
 
 
@@ -76,3 +76,13 @@ def test_exponents_at_the_cap_parse():
         (MAX_EXPONENT, -MAX_EXPONENT): parse_scalar("1"),
     }
     assert str(parse_skein(f"(a1^-{MAX_EXPONENT},[1 2])", 2)) == f"(a1^-{MAX_EXPONENT},[1 2])"
+
+
+def test_text_over_the_length_cap_is_rejected_before_any_token(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a token was built")
+
+    monkeypatch.setattr(_tokens, "Token", refuse)
+    with pytest.raises(ParseError, match=f"longer than {MAX_TEXT_CHARS} characters") as info:
+        tokenize("+" * (MAX_TEXT_CHARS + 1))
+    assert info.value.pos == MAX_TEXT_CHARS

@@ -31,12 +31,13 @@ from daha.verify import (
     check_intertwiner,
     check_relations,
     check_subrep_closure,
+    default_alphabet,
     is_symmetrization,
     monomial_grid,
     random_words,
     single_generator_words,
 )
-from daha.words import RelationPair
+from daha.words import GeneratorLetter, RelationPair
 
 from conftest import scalar_polys
 
@@ -392,3 +393,42 @@ class TestDeterminism:
             "s1^-1*s1*y1^-1", "s2^-2", "y1^-1", "y1", "x3*s1^-1*x3^-1",
             "s1^2", "s2^-1", "x3", "s1*x3*s2^-1", "y1*y1^-1*x3",
         ]
+
+
+def _alphabet_oracle(kappa: int) -> list[GeneratorLetter]:
+    # The letter-by-letter body that default_alphabet had before it and
+    # single_generator_words were drawn from one generator-letter list.
+    letters = []
+    for i in range(1, kappa):
+        letters.append(GeneratorLetter("s", i, 1))
+        letters.append(GeneratorLetter("s", i, -1))
+    for i in range(1, kappa + 1):
+        letters.append(GeneratorLetter("x", i, 1))
+        letters.append(GeneratorLetter("x", i, -1))
+    letters.append(GeneratorLetter("y", 1, 1))
+    letters.append(GeneratorLetter("y", 1, -1))
+    return letters
+
+
+def _single_generator_words_oracle(kappa: int) -> list[GeneratorWord]:
+    words = []
+    for i in range(1, kappa):
+        for sign in (1, -1):
+            words.append(GeneratorWord(kappa, [GeneratorLetter("s", i, sign)]))
+    for kind in ("x", "y"):
+        for i in range(1, kappa + 1):
+            for sign in (1, -1):
+                words.append(GeneratorWord(kappa, [GeneratorLetter(kind, i, sign)]))
+    return words
+
+
+class TestGeneratorLetters:
+    # Order matters: random words and the benchmark's word pools index
+    # default_alphabet through a seeded generator.
+    @pytest.mark.parametrize("kappa", range(1, 7))
+    def test_default_alphabet_matches_the_oracle_in_order(self, kappa):
+        assert default_alphabet(kappa) == _alphabet_oracle(kappa)
+
+    @pytest.mark.parametrize("kappa", range(1, 7))
+    def test_single_generator_words_match_the_oracle_in_order(self, kappa):
+        assert single_generator_words(kappa) == _single_generator_words_oracle(kappa)
