@@ -32,6 +32,7 @@ from math import factorial
 
 from . import __version__, polyrep, verify
 from . import skein as skein_mod
+from ._tokens import MAX_TEXT_CHARS
 from .errors import ParseError, RankMismatchError
 from .laurent import LaurentPoly, parse_laurent
 from .skein import SkeinElement, parse_skein
@@ -101,7 +102,9 @@ def _read_arg(inline: str | None, path: str | None) -> str:
     if inline is not None:
         return inline
     with open(path, encoding="utf-8") as handle:
-        return handle.read().strip()
+        text = handle.read(MAX_TEXT_CHARS + 1)
+    # A file past the text cap goes to the parser whole, which rejects it.
+    return text if len(text) > MAX_TEXT_CHARS else text.strip()
 
 
 def _check_ranges(args: argparse.Namespace, *ranges: tuple[str, int, int | None]) -> None:

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one index range check."""
 
 from __future__ import annotations
+
+from operator import index
 
 
 class ParseError(ValueError):
@@ -24,3 +26,12 @@ class NonDivisibleError(ArithmeticError):
     """Raised by exact division when the dividend is not a multiple of the
     divisor.  Seeing this on an input of the form (swap - 1)f indicates a bug
     in the caller's arithmetic, not a property of the input."""
+
+
+def check_index(what: str, i: int, most: int) -> int:
+    """The one range check of a 1-based index: return ``i`` as an int, or
+    raise ``IndexError`` (out of ``1..most``) or ``TypeError`` (no integer)."""
+    i = index(i)
+    if not 1 <= i <= most:
+        raise IndexError(f"{what} {i} out of range 1..{most}")
+    return i

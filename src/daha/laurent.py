@@ -42,7 +42,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ._tokens import TokenStream, check_exponents, parse_signed_int, parse_signed_sum
-from .errors import NonDivisibleError, ParseError, RankMismatchError
+from .errors import NonDivisibleError, ParseError, RankMismatchError, check_index
 from .scalars import (
     ScalarPoly, _format_scalar_term, c_power, hbar, join_signed, parse_scalar_factor,
     parse_scalar_sum,
@@ -94,10 +94,7 @@ class SparseCombination:
     _RANK = "rank"
 
     def __init__(self, rank: int, terms: Mapping | Iterable[tuple] = ()):
-        rank = index(rank)
-        if rank < 1:
-            raise ValueError(f"{self._RANK} must be >= 1, got {rank}")
-        self._rank = rank
+        self._rank = rank = self._checked_rank(rank)
         self._terms = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         accumulate(self._terms, (
@@ -108,6 +105,13 @@ class SparseCombination:
     def __reduce__(self):
         # Unpickle through the validating constructor, under every protocol.
         return type(self), (self._rank, self._terms)
+
+    @classmethod
+    def _checked_rank(cls, rank: int) -> int:
+        rank = index(rank)
+        if rank < 1:
+            raise ValueError(f"{cls._RANK} must be >= 1, got {rank}")
+        return rank
 
     @classmethod
     def zero(cls, rank: int):
@@ -158,33 +162,26 @@ class SparseCombination:
         return self + (-other)
 
     def _scale(self, coeff: ScalarPoly | int):
-        if isinstance(coeff, int):
+        if not isinstance(coeff, ScalarPoly):
             coeff = ScalarPoly.integer(coeff)
         if not coeff._terms:
             return _wrap(type(self), self._rank, {})
         if coeff.is_one():
             return self
-        # Nonzero times nonzero is nonzero in the integral domain of scalars.
-        # Runs of one coefficient object (as in exact_divide's quotients) are
-        # multiplied once.
-        data = {}
-        last = new = None
-        for key, old in self._terms.items():
-            if old is not last:
-                last, new = old, old * coeff
-            data[key] = new
-        return _wrap(type(self), self._rank, data)
+        return self._map_coefficients("__mul__", coeff)
 
-    def _substitute_d_eq_s(self):
-        # Runs of one coefficient object (as in symmetrized elements and
-        # _scale's results) are substituted once.
+    def _map_coefficients(self, method: str, *args):
+        """Apply the :class:`ScalarPoly` method ``method`` to each coefficient,
+        once per run of one coefficient object (as in exact_divide's
+        quotients), dropping zero results.  It is looked up on every call, so
+        a replaced method sees every use."""
+        apply = getattr(ScalarPoly, method)
         data = {}
         last = new = None
         for key, coeff in self._terms.items():
             if coeff is not last:
-                last, new = coeff, coeff.substitute_d_eq_s()
-            # A coefficient returned unchanged (it has no d) is still nonzero.
-            if new is coeff or new._terms:
+                last, new = coeff, apply(coeff, *args)
+            if new._terms:
                 data[key] = new
         return _wrap(type(self), self._rank, data)
 
@@ -248,7 +245,7 @@ class LaurentPoly(SparseCombination):
 
     @classmethod
     def monomial(cls, rank: int, exps: Iterable[int], coeff: ScalarPoly | int = 1) -> "LaurentPoly":
-        rank = index(rank)
+        rank = cls._checked_rank(rank)
         key = cls._check_key(rank, exps)
         if not isinstance(coeff, ScalarPoly):
             coeff = ScalarPoly.integer(coeff)
@@ -257,11 +254,9 @@ class LaurentPoly(SparseCombination):
     @classmethod
     def variable(cls, rank: int, i: int, exp: int = 1) -> "LaurentPoly":
         """The monomial X_i^exp."""
-        rank = index(rank)
-        if not 1 <= i <= rank:
-            raise IndexError(f"variable index {i} out of range for rank {rank}")
+        rank = cls._checked_rank(rank)
         exps = [0] * rank
-        exps[i - 1] = exp
+        exps[check_index("variable index", i, rank) - 1] = exp
         return cls.monomial(rank, exps)
 
     # -- inspection ----------------------------------------------------------
@@ -315,7 +310,7 @@ class LaurentPoly(SparseCombination):
 
     def substitute_d_eq_s(self) -> "LaurentPoly":
         """Set d = s in every coefficient (cancellations are pruned)."""
-        return self._substitute_d_eq_s()
+        return self._map_coefficients("substitute_d_eq_s")
 
 
 def _monomial_string(exps: ExponentVector, letter: str) -> str:
@@ -331,14 +326,9 @@ def _monomial_string(exps: ExponentVector, letter: str) -> str:
 # -- variable operators --------------------------------------------------------
 
 
-def _check_adjacent_index(i: int, rank: int) -> None:
-    if not 1 <= i <= rank - 1:
-        raise IndexError(f"adjacent-pair index {i} out of range for rank {rank}")
-
-
 def swap_variables(f: LaurentPoly, i: int) -> LaurentPoly:
     """Exchange X_i and X_{i+1} in every term (an involution, 1 <= i < rank)."""
-    _check_adjacent_index(i, f._rank)
+    i = check_index("adjacent-pair index", i, f._rank - 1)
     return _wrap(LaurentPoly, f._rank, {
         key[: i - 1] + (key[i], key[i - 1]) + key[i + 1 :]: coeff
         for key, coeff in f._terms.items()
@@ -393,7 +383,7 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
     :class:`NonDivisibleError`.
     """
     rank = f._rank
-    _check_adjacent_index(i, rank)
+    i = check_index("adjacent-pair index", i, rank - 1)
     idx = i - 1
     groups: dict[tuple, dict[int, ScalarPoly]] = {}
     for key, coeff in f._terms.items():

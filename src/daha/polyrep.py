@@ -31,7 +31,6 @@ mutated.
 
 from __future__ import annotations
 
-from .errors import RankMismatchError
 from .laurent import (
     LaurentPoly, adjacent_ratio, braid_kernel, rotate_variables, rotate_variables_inverse,
 )
@@ -85,6 +84,4 @@ def act_y1_inv(f: LaurentPoly) -> LaurentPoly:
 
 def act_word(word: GeneratorWord, f: LaurentPoly) -> LaurentPoly:
     """Act by a generator word, rightmost letter first (:func:`~daha.words.apply_word`)."""
-    if word.kappa != f._rank:
-        raise RankMismatchError(f"word kappa {word.kappa} does not match rank {f._rank}")
     return apply_word(word, f, (act_x, act_sigma, act_sigma_inv, act_y1, act_y1_inv))

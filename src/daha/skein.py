@@ -74,7 +74,7 @@ from operator import add, index
 from typing import Iterable, Iterator, Sequence
 
 from ._tokens import TokenStream, check_exponents, parse_signed_int, parse_signed_sum
-from .errors import ParseError, RankMismatchError
+from .errors import ParseError, check_index
 from .laurent import (
     LaurentPoly, SparseCombination, _monomial_string, _wrap, accumulate, braid_kernel,
 )
@@ -124,9 +124,7 @@ class Permutation(tuple):
 
     def __call__(self, j: int) -> int:
         """The image of position j, for 1 <= j <= size."""
-        if not 1 <= j <= len(self):
-            raise IndexError(f"position {j} out of range 1..{len(self)}")
-        return self[j - 1]
+        return self[check_index("position", j, len(self)) - 1]
 
     def precompose_swap(self, i: int) -> "Permutation":
         """Compose with the transposition of positions i, i+1 acting first.
@@ -136,8 +134,7 @@ class Permutation(tuple):
         at positions i, i+1 flips, which is what the two-case braid rule
         needs.  Applying it twice returns the original permutation.
         """
-        if not 1 <= i <= len(self) - 1:
-            raise IndexError(f"swap index {i} out of range for size {len(self)}")
+        i = check_index("swap index", i, len(self) - 1)
         return self._raw(Permutation, self[: i - 1] + (self[i], self[i - 1]) + self[i + 1 :])
 
     def __repr__(self) -> str:
@@ -214,6 +211,7 @@ class SkeinElement(SparseCombination):
         coefficient 1.  A translation of the exponent vectors is injective,
         so no terms merge or cancel.  Each distinct exponent vector is
         shifted once: in a symmetrized element kappa! terms share one."""
+        offset = tuple(map(index, offset))
         shifted: dict[ExponentVector, ExponentVector] = {}
         data: dict[BasisKey, ScalarPoly] = {}
         for (exps, perm), coeff in self._terms.items():
@@ -238,8 +236,7 @@ class SkeinElement(SparseCombination):
         share a key, and then they are merged with
         :func:`~daha.laurent.accumulate`, which drops cancelled keys.
         """
-        if poly._rank != self._rank:
-            raise RankMismatchError(f"rank {poly._rank} does not match kappa {self._rank}")
+        self._check_rank(poly)
         data: dict[BasisKey, ScalarPoly] = {}
         disjoint = len({exps for exps, _ in self._terms}) <= 1
         last = scaled = None
@@ -255,7 +252,7 @@ class SkeinElement(SparseCombination):
 
     def substitute_d_eq_s(self) -> "SkeinElement":
         """Set d = s in every coefficient (cancellations are pruned)."""
-        return self._substitute_d_eq_s()
+        return self._map_coefficients("substitute_d_eq_s")
 
 
 # -- generator actions ---------------------------------------------------------
@@ -263,11 +260,8 @@ class SkeinElement(SparseCombination):
 
 def act_x(i: int, v: SkeinElement, exp: int = 1) -> SkeinElement:
     """Multiply by a_i^exp: shift the i-th exponent of every basis term."""
-    kappa = v._rank
-    if not 1 <= i <= kappa:
-        raise IndexError(f"variable index {i} out of range for kappa {kappa}")
-    offset = [0] * kappa
-    offset[i - 1] = exp
+    offset = [0] * v._rank
+    offset[check_index("variable index", i, v._rank) - 1] = exp
     return v.shift_exponents(offset)
 
 
@@ -278,8 +272,7 @@ _D_INV = d_power(-1)
 def act_sigma_base(i: int, perm: Permutation) -> SkeinElement:
     """The braid letter s_i on the exponent-free pair (1, perm)."""
     kappa = len(perm)
-    if not 1 <= i <= kappa - 1:
-        raise IndexError(f"braid index {i} out of range for kappa {kappa}")
+    i = check_index("braid index", i, kappa - 1)
     zero_exps = (0,) * kappa
     swapped = perm.precompose_swap(i)
     if perm[i - 1] < perm[i]:
@@ -317,8 +310,7 @@ def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
     of different exponent groups meet.
     """
     kappa = v._rank
-    if not 1 <= i <= kappa - 1:
-        raise IndexError(f"braid index {i} out of range for kappa {kappa}")
+    i = check_index("braid index", i, kappa - 1)
     by_exps: dict[ExponentVector, list[tuple[Permutation, ScalarPoly]]] = {}
     for (exps, perm), coeff in v._terms.items():
         by_exps.setdefault(exps, []).append((perm, coeff))
@@ -388,8 +380,6 @@ def act_y1_inv(v: SkeinElement) -> SkeinElement:
 
 def act_word(word: GeneratorWord, v: SkeinElement) -> SkeinElement:
     """Act by a generator word, rightmost letter first (:func:`~daha.words.apply_word`)."""
-    if word.kappa != v._rank:
-        raise RankMismatchError(f"word kappa {word.kappa} does not match kappa {v._rank}")
     return apply_word(word, v, (act_x, act_sigma, act_sigma_inv, act_y1, act_y1_inv))
 
 

@@ -23,10 +23,11 @@ combination: a tuple of (ScalarPoly coefficient, word) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Iterable
 
 from ._tokens import TokenStream, parse_signed_int
-from .errors import ParseError
+from .errors import ParseError, RankMismatchError, check_index
 from .scalars import ScalarPoly, c_power, hbar
 
 _KINDS = ("s", "x", "y")
@@ -45,6 +46,8 @@ class GeneratorLetter:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        object.__setattr__(self, "index", index(self.index))
+        object.__setattr__(self, "sign", index(self.sign))
         if self.sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {self.sign}")
         if self.index < 1:
@@ -73,10 +76,13 @@ class GeneratorWord:
     letters: tuple[GeneratorLetter, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "kappa", index(self.kappa))
         if self.kappa < 1:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
         letters = tuple(self.letters)
         for letter in letters:
+            if not isinstance(letter, GeneratorLetter):
+                raise TypeError(f"word item {letter!r} is not a GeneratorLetter")
             if letter.index > _max_index(letter.kind, self.kappa):
                 raise ValueError(
                     f"letter {letter} index out of range for kappa={self.kappa}"
@@ -176,8 +182,7 @@ def expand_y(i: int, kappa: int) -> GeneratorWord:
 
 
 def _expand_loop(kind: str, i: int, kappa: int) -> GeneratorWord:
-    if not 1 <= i <= kappa:
-        raise IndexError(f"loop index {i} out of range for kappa={kappa}")
+    i = check_index("loop index", i, kappa)
     descending = _sigma_run(range(i - 1, 0, -1))
     ascending = _sigma_run(range(1, i))
     return GeneratorWord(kappa, descending + [GeneratorLetter(kind, 1, 1)] + ascending)
@@ -189,8 +194,10 @@ def apply_word(word: GeneratorWord, v, actions: tuple[Callable, ...]):
     The one word dispatcher of both module actions.  ``actions`` is
     ``(act_x, act_sigma, act_sigma_inv, act_y1, act_y1_inv)`` of one module,
     with ``act_x(i, v, sign)``; a letter y_i with i > 1 acts through its
-    expansion :func:`expand_y`.
+    expansion :func:`expand_y`.  The word's kappa must be v's rank.
     """
+    if word.kappa != v._rank:
+        raise RankMismatchError(f"word kappa {word.kappa} does not match {v._RANK} {v._rank}")
     act_x, act_sigma, act_sigma_inv, act_y1, act_y1_inv = actions
     for letter in reversed(word.letters):
         kind, i, sign = letter.kind, letter.index, letter.sign

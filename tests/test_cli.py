@@ -305,6 +305,49 @@ class TestTextCap:
         assert (code, out) == (2, "")
         assert f"text longer than {MAX_TEXT_CHARS} characters" in err
 
+    @pytest.mark.parametrize("file_flag", ["--word-file", "--elem-file"])
+    def test_endless_file_is_read_only_to_the_cap(self, capsys, monkeypatch, file_flag):
+        class Endless:
+            """A stream like /dev/zero: an unsized read never returns."""
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self, size=-1):
+                if size is None or size < 0:
+                    raise MemoryError("unsized read of an endless stream")
+                return "\0" * size
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Endless(), raising=False)
+        argv = {"--word": "", "--elem": "1"}
+        argv.pop("--word" if file_flag == "--word-file" else "--elem")
+        argv[file_flag] = "endless"
+        code, out, err = run(capsys, "eval", "--rep", "poly", "--kappa", "2",
+                             *[part for item in argv.items() for part in item])
+        assert (code, out) == (2, "")
+        assert err == (f"error: text longer than {MAX_TEXT_CHARS} characters "
+                       f"(at position {MAX_TEXT_CHARS})\n")
+
+    @pytest.mark.parametrize("padding, accepted", [(MAX_TEXT_CHARS - 2, True),
+                                                   (MAX_TEXT_CHARS - 1, False)])
+    def test_file_at_the_cap_is_stripped_and_one_past_it_rejected(
+        self, capsys, tmp_path, padding, accepted
+    ):
+        # "1", the padding and a newline: the cap exactly, or one past it,
+        # which is rejected even though stripping would bring it under.
+        elem_file = tmp_path / "elem.txt"
+        elem_file.write_text("1" + " " * padding + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--rep", "poly", "--kappa", "2", "--word", "",
+                             "--elem-file", str(elem_file))
+        if accepted:
+            assert (code, out, err) == (0, "1\n", "")
+        else:
+            assert (code, out) == (2, "")
+            assert f"text longer than {MAX_TEXT_CHARS} characters" in err
+
 
 class TestCheckCapBoundaries:
     def test_grids_at_the_cap_run(self, capsys, monkeypatch):

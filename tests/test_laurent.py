@@ -84,6 +84,36 @@ class TestRingOps:
         with pytest.raises(ValueError, match="has length 1, expected 2"):
             LaurentPoly(2, {(1,): 1})
 
+    @pytest.mark.parametrize("build", [
+        lambda: LaurentPoly(0),
+        lambda: LaurentPoly.zero(0),
+        lambda: LaurentPoly.monomial(0, []),
+        lambda: LaurentPoly.one(0),
+        lambda: LaurentPoly.variable(0, 1),
+    ])
+    def test_every_constructor_rejects_rank_zero(self, build):
+        with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
+            build()
+
+    @pytest.mark.parametrize("coeff", [2.5, "2", None, [1]])
+    def test_scale_takes_an_int_or_a_scalar(self, coeff):
+        with pytest.raises(TypeError):
+            LaurentPoly.one(2).scale(coeff)
+
+    def test_scale_multiplies_once_per_coefficient_run(self, monkeypatch):
+        # The product is looked up on ScalarPoly when scale runs, so a
+        # replaced __mul__ sees every product.
+        a, b = s_power(1) - c_power(2), ScalarPoly.integer(-3)
+        f = LaurentPoly(2, [((j, -j), coeff) for j, coeff in enumerate([a, a, b, a, b, b, a])])
+        calls = []
+        multiply = ScalarPoly.__mul__
+        monkeypatch.setattr(ScalarPoly, "__mul__",
+                            lambda self, other: calls.append(self) or multiply(self, other))
+        got = f.scale(hbar())
+        monkeypatch.undo()
+        assert calls == [a, b, a, b, a]
+        assert got == laurent_product(LaurentPoly.monomial(2, (0, 0), hbar()), f)
+
     @pytest.mark.parametrize("rank", [2.0, "2"])
     def test_rejects_a_non_integer_rank(self, rank):
         with pytest.raises(TypeError):

@@ -15,7 +15,7 @@ import pickle
 import pytest
 
 from daha import (
-    CheckReport, Counterexample, GeneratorLetter, LaurentPoly, Permutation, ScalarPoly, SkeinElement, c_power, hbar, parse_laurent,
+    CheckReport, Counterexample, GeneratorLetter, GeneratorWord, LaurentPoly, Permutation, ScalarPoly, SkeinElement, c_power, hbar, parse_laurent,
     parse_skein, parse_word,
 )
 
@@ -44,6 +44,25 @@ def test_round_trip(value, protocol):
     assert type(copy) is type(value)
     assert copy == value
     assert str(copy) == str(value)
+
+
+class _Two:
+    def __index__(self):
+        return 2
+
+
+@pytest.mark.parametrize("protocol", range(0, pickle.HIGHEST_PROTOCOL + 1))
+def test_words_built_from_integer_like_fields_round_trip(protocol):
+    # The constructors store plain ints, so the pickle holds no _Two.
+    letter = GeneratorLetter("y", _Two(), True)
+    word = GeneratorWord(_Two(), (letter, letter.inverse()))
+    for value in (letter, word):
+        data = pickle.dumps(value, protocol)
+        assert b"_Two" not in data
+        copy = pickle.loads(data)
+        assert copy == value
+        assert str(copy) == str(value)
+    assert str(word) == "y2*y2^-1"
 
 
 def test_unpickled_keys_hold_permutations():

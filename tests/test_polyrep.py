@@ -48,6 +48,12 @@ class TestLoopLetters:
         with pytest.raises(IndexError):
             act_x(3, LaurentPoly.one(2))
 
+    @pytest.mark.parametrize("exp", [2.5, "1"])
+    @pytest.mark.parametrize("f", [LaurentPoly.one(2), LaurentPoly.zero(2)], ids=["one", "zero"])
+    def test_exponent_must_be_an_integer(self, exp, f):
+        with pytest.raises(TypeError):
+            act_x(1, f, exp)
+
 
 class TestBraidLetter:
     def test_on_constant(self):

@@ -207,6 +207,19 @@ class TestLoopLetters:
         with pytest.raises(IndexError):
             act_x(3, unit(2, E2))
 
+    @pytest.mark.parametrize("exp", [2.5, "1"])
+    @pytest.mark.parametrize("v", [unit(2, E2), SkeinElement.zero(2)], ids=["unit", "zero"])
+    def test_exponent_must_be_an_integer(self, exp, v):
+        with pytest.raises(TypeError):
+            act_x(1, v, exp)
+        with pytest.raises(TypeError):
+            v.shift_exponents((exp, 0))
+
+    def test_integer_like_exponent_becomes_an_int(self):
+        shifted = act_x(1, unit(2, E2), True)
+        assert shifted == SkeinElement.basis(2, (1, 0), E2)
+        assert all(type(e) is int for exps, _ in shifted.terms for e in exps)
+
 
 class TestBraidBaseRule:
     def test_ascending_case(self):

@@ -16,8 +16,9 @@ from daha import (
     parse_word,
     relation_table,
 )
-from daha.errors import ParseError
-from daha.words import MAX_WORD_LETTERS
+from daha import LaurentPoly, SkeinElement, polyrep, skein
+from daha.errors import ParseError, RankMismatchError
+from daha.words import MAX_WORD_LETTERS, apply_word
 
 from conftest import generator_words
 
@@ -96,6 +97,32 @@ class TestWordAlgebra:
         with pytest.raises(ValueError, match="kappa must be >= 1"):
             GeneratorWord(0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: GeneratorLetter("x", 1.0, 1),
+        lambda: GeneratorLetter("x", "1", 1),
+        lambda: GeneratorLetter("x", 1, 1.0),
+        lambda: GeneratorLetter("x", 1, -1.0),
+        lambda: GeneratorWord(2.0),
+        lambda: GeneratorWord("2"),
+        lambda: GeneratorWord(2, ["s1"]),
+        lambda: GeneratorWord(2, [("s", 1, 1)]),
+    ])
+    def test_constructors_take_integers_and_letters(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_integer_like_fields_become_ints(self):
+        class One:
+            def __index__(self):
+                return 1
+
+        letter = GeneratorLetter("x", One(), One())
+        assert (type(letter.index), type(letter.sign)) == (int, int)
+        assert str(letter) == "x1"
+        word = GeneratorWord(One(), [letter])
+        assert type(word.kappa) is int
+        assert word == parse_word("x1", 1)
+
     @given(generator_words())
     def test_inverse_reverses_and_flips(self, word):
         inv = word.inverse()
@@ -127,6 +154,23 @@ class TestExpansion:
             expand_x(0, 2)
         with pytest.raises(IndexError):
             expand_y(3, 2)
+
+
+class TestApplyWord:
+    @pytest.mark.parametrize("v, rank_name", [(LaurentPoly.one(2), "rank"),
+                                              (SkeinElement.zero(2), "kappa")])
+    @pytest.mark.parametrize("text", ["", "x1*y2"])
+    def test_word_kappa_must_be_the_element_rank(self, v, rank_name, text):
+        def no_action(*args):
+            raise AssertionError("a letter acted before the kappa check")
+
+        word = parse_word(text, 3)
+        message = rf"^word kappa 3 does not match {rank_name} 2$"
+        with pytest.raises(RankMismatchError, match=message):
+            apply_word(word, v, (no_action,) * 5)
+        act_word = polyrep.act_word if rank_name == "rank" else skein.act_word
+        with pytest.raises(RankMismatchError, match=message):
+            act_word(word, v)
 
 
 def table_text(kappa: int) -> list[tuple]:
