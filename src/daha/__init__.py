@@ -9,7 +9,7 @@ The package implements, over the integer Laurent ring Z[s^±1, c^±1, d^±1]:
 * machine verification that the two module structures satisfy the defining
   relations and agree under permutation averaging at d = s
   (:mod:`daha.verify`),
-* a command-line front end (``daha eval`` / ``daha check`` / ``daha bench``).
+* a command-line front end (``daha eval`` / ``daha check``).
 
 All values are immutable after construction and every operation is a pure
 function, so values can be shared freely between threads or processes.

@@ -1,14 +1,12 @@
 """Command-line front end.
 
-Three subcommands:
+Two subcommands:
 
 * ``daha eval`` -- act by a generator word on an element of either module
   and print the canonical form of the result;
 * ``daha check`` -- run the verification suites (defining relations in both
   representations, the averaging intertwiner, the symmetrized-subspace
-  closure) and exit 0 exactly when every case passes;
-* ``daha bench`` -- time random-word actions in both representations and
-  report term-count growth.
+  closure) and exit 0 exactly when every case passes.
 
 Every numeric flag has a range, stated once per command as ``(flag, least,
 most)`` rows for :func:`_check_ranges`; a value outside it is a usage error,
@@ -26,7 +24,6 @@ import argparse
 import json
 import random
 import sys
-import time
 from dataclasses import asdict
 from math import factorial
 
@@ -35,16 +32,15 @@ from . import skein as skein_mod
 from ._tokens import MAX_TEXT_CHARS
 from .errors import ParseError, RankMismatchError
 from .laurent import LaurentPoly, parse_laurent
-from .skein import SkeinElement, parse_skein
+from .skein import parse_skein
 from .verify import CheckReport
-from .words import MAX_WORD_LETTERS, GeneratorWord, parse_word
+from .words import MAX_WORD_LETTERS, parse_word
 
-# Most strands ``daha eval`` and ``daha bench`` accept (``--kappa``); the grid
-# cap bounds ``daha check``'s.  A 100,000-character ``--elem`` parses in ~40 MB.
+# Most strands ``daha eval`` accepts (``--kappa``); the grid cap bounds
+# ``daha check``'s.  A 100,000-character ``--elem`` parses in ~40 MB.
 MAX_KAPPA = 100
 
-# Most random words ``daha check`` draws per suite (``--num-words``), and
-# ``daha bench`` times (``--count``).
+# Most random words ``daha check`` draws per suite (``--num-words``).
 MAX_NUM_WORDS = 1_000
 
 # Most terms in one input grid of ``daha check``: (2b+1)^kappa monomials for
@@ -89,12 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-inputs", type=int, default=None,
                          help="cap the number of grid inputs (seeded sample when exceeded)")
     p_check.add_argument("--format", choices=("text", "json-lines"), default="text")
-
-    p_bench = sub.add_parser("bench", help="time random-word actions in both representations")
-    p_bench.add_argument("--kappa", type=int, required=True)
-    p_bench.add_argument("--word-len", type=int, required=True)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--count", type=int, default=5, help="number of random words (default 5)")
     return parser
 
 
@@ -263,42 +253,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    _check_ranges(args, ("--kappa", 1, MAX_KAPPA), ("--word-len", 1, MAX_WORD_LETTERS),
-                  ("--count", 1, MAX_NUM_WORDS))
-    kappa = args.kappa
-    alphabet = verify.default_alphabet(kappa)
-    rng = random.Random(args.seed)
-    words = [
-        GeneratorWord(kappa, [rng.choice(alphabet) for _ in range(args.word_len)])
-        for _ in range(args.count)
-    ]
-    print(f"# bench kappa={kappa} word_len={args.word_len} seed={args.seed} count={args.count}")
-
-    start_poly = LaurentPoly.one(kappa)
-    t0 = time.perf_counter()
-    poly_terms = [polyrep.act_word(w, start_poly).term_count() for w in words]
-    poly_ms = (time.perf_counter() - t0) * 1000
-
-    start_skein = SkeinElement.basis(kappa, (0,) * kappa)
-    t0 = time.perf_counter()
-    skein_terms = [skein_mod.act_word(w, start_skein).term_count() for w in words]
-    skein_ms = (time.perf_counter() - t0) * 1000
-
-    print(f"poly:  total={poly_ms:.2f}ms per_word={poly_ms / len(words):.2f}ms terms={poly_terms}")
-    print(f"skein: total={skein_ms:.2f}ms per_word={skein_ms / len(words):.2f}ms terms={skein_terms}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "eval":
             return _cmd_eval(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        return _cmd_bench(args)
+        return _cmd_check(args)
     except (ParseError, RankMismatchError, ValueError, IndexError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,9 @@ The three checks are finite, exact (zero-tolerance) test suites:
   :func:`is_symmetrization` decides membership too.
 
 Each check walks every case, never stops early, counts failures, and keeps
-the first counterexample, so a systematic error is visible in full.
+the first counterexample, so a systematic error is visible in full.  A word
+or input of another rank than the check's kappa raises
+:class:`~daha.errors.RankMismatchError` before any case runs.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from math import factorial
 
 from . import polyrep
 from . import skein as skein_mod
+from .errors import RankMismatchError
 from .laurent import LaurentPoly, _wrap
 from .skein import SkeinElement, all_permutations
 from .words import GeneratorLetter, GeneratorWord, RelationPair, relation_table
@@ -209,6 +212,14 @@ def _apply_side(side, value, act):
     return result
 
 
+def _require_kappa(kappa: int, what: str, ranks) -> None:
+    """Raise :class:`RankMismatchError` at the first of ``ranks`` that is not
+    ``kappa``, so a report never names a kappa it did not check."""
+    for rank in ranks:
+        if rank != kappa:
+            raise RankMismatchError(f"{what} {rank} does not match kappa {kappa}")
+
+
 def default_relation_bound(kappa: int, rep: str) -> int:
     if rep == "poly":
         return 3 if kappa <= 3 else 2
@@ -224,6 +235,7 @@ def check_relations(
     """Evaluate both sides of every defining relation on every input through
     the chosen representation ('poly' or 'skein'); exact comparison."""
     act = _act(rep)
+    _require_kappa(kappa, "input rank", (value._rank for value in inputs))
     if relations is None:
         relations = relation_table(kappa)
     reports = []
@@ -250,6 +262,7 @@ def check_intertwiner(
     symmetrize(word . f) for its report, so the counterexample, and any
     error symmetrize raises, are those of the plain comparison.
     """
+    _require_kappa(kappa, "word kappa", (word.kappa for word in words))
     tally = _Tally()
     for word in words:
         for f in monomials:
@@ -270,6 +283,7 @@ def check_subrep_closure(
     the symmetrized subspace: each image must be the symmetrization
     (:func:`is_symmetrization`) of the polynomial g that holds one of its
     coefficients at each of its exponent vectors."""
+    _require_kappa(kappa, "word kappa", (word.kappa for word in words))
     tally = _Tally()
     for word, f in zip(words, monomials):
         image = skein_mod.act_word(word, symmetrize(f)).substitute_d_eq_s()

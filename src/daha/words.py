@@ -104,7 +104,8 @@ class GeneratorWord:
         if not isinstance(other, GeneratorWord):
             return NotImplemented
         if self.kappa != other.kappa:
-            raise ValueError(f"cannot concatenate words with kappa {self.kappa} and {other.kappa}")
+            raise RankMismatchError(
+                f"cannot concatenate words with kappa {self.kappa} and {other.kappa}")
         return GeneratorWord(self.kappa, self.letters + other.letters)
 
     def inverse(self) -> "GeneratorWord":

@@ -83,10 +83,16 @@ class TestEval:
         assert code == 0
         assert out.strip() == "c^4*(a1^-1*a2^2,[1 2])"
 
-    def test_usage_error_exits_two(self, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--rep", "poly", "--kappa", "2", "--word", ""], "required"),
+        (["bench", "--kappa", "2", "--word-len", "2"], "invalid choice"),
+    ], ids=["missing-elem", "bench"])
+    def test_usage_error_exits_two(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--rep", "poly", "--kappa", "2", "--word", ""])
-        assert exc.value.code == 2
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert message in captured.err
 
 
 class TestCheck:
@@ -267,7 +273,7 @@ class TestCheckCaps:
 
 
 class TestFlagCaps:
-    """``eval`` and ``bench`` flags over a documented cap exit 2 before any
+    """``eval``'s ``--kappa`` over its documented cap exits 2 before any
     element or word is built."""
 
     @pytest.fixture(autouse=True)
@@ -275,9 +281,8 @@ class TestFlagCaps:
         def refuse(*args):
             raise AssertionError("an element or word was built")
 
-        for name in ("parse_word", "parse_laurent", "parse_skein", "GeneratorWord"):
+        for name in ("parse_word", "parse_laurent", "parse_skein"):
             monkeypatch.setattr(cli, name, refuse)
-        monkeypatch.setattr(verify, "default_alphabet", refuse)
 
     @pytest.mark.parametrize("rep", ["poly", "skein"])
     def test_eval_kappa_over_the_cap_exits_two(self, capsys, rep):
@@ -285,17 +290,6 @@ class TestFlagCaps:
                              "--word", "", "--elem", "1")
         assert (code, out) == (2, "")
         assert err == f"error: --kappa must be <= {MAX_KAPPA}, got {MAX_KAPPA + 1}\n"
-
-    @pytest.mark.parametrize("flag, cap", [
-        ("--kappa", MAX_KAPPA),
-        ("--word-len", MAX_WORD_LETTERS),
-        ("--count", MAX_NUM_WORDS),
-    ])
-    def test_bench_flag_over_its_cap_exits_two(self, capsys, flag, cap):
-        argv = {"--kappa": "2", "--word-len": "2", "--count": "1", flag: str(cap + 1)}
-        code, out, err = run(capsys, "bench", *[part for item in argv.items() for part in item])
-        assert (code, out) == (2, "")
-        assert err == f"error: {flag} must be <= {cap}, got {cap + 1}\n"
 
 
 class TestTextCap:
@@ -356,26 +350,6 @@ class TestCheckCapBoundaries:
                            "--num-words", "1", "--max-word-len", "1")
         assert code == 0
         assert "relations_skein_inputs=18" in out and "FAIL" not in out
-
-
-class TestBench:
-    def test_smoke(self, capsys):
-        code, out, _ = run(capsys, "bench", "--kappa", "2", "--word-len", "4",
-                           "--seed", "1", "--count", "2")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("# bench kappa=2")
-        assert lines[1].startswith("poly:") and lines[2].startswith("skein:")
-
-    def test_bad_count_exits_two(self, capsys):
-        code, _, err = run(capsys, "bench", "--kappa", "2", "--word-len", "2", "--count", "0")
-        assert code == 2
-        assert err == "error: --count must be >= 1, got 0\n"
-
-    def test_rank_one_fast_path(self, capsys):
-        code, out, _ = run(capsys, "bench", "--kappa", "1", "--word-len", "3")
-        assert code == 0
-        assert "skein:" in out
 
 
 class TestExponentCap:

@@ -23,6 +23,7 @@ from daha import (
 )
 from daha import polyrep, skein
 from daha.cli import main
+from daha.errors import RankMismatchError
 from daha.skein import act_word as skein_act_word
 from daha.verify import (
     Counterexample,
@@ -37,7 +38,7 @@ from daha.verify import (
     random_words,
     single_generator_words,
 )
-from daha.words import GeneratorLetter, RelationPair
+from daha.words import GeneratorLetter, RelationPair, relation_table
 
 from conftest import scalar_polys
 
@@ -265,6 +266,10 @@ class TestCheckRelations:
         with pytest.raises(ValueError):
             check_relations(2, "matrix", [])
 
+    def test_input_of_another_rank_raises(self):
+        with pytest.raises(RankMismatchError, match="input rank 2 does not match kappa 5"):
+            check_relations(5, "poly", monomial_grid(2, 0), relations=relation_table(2))
+
 
 class TestCheckIntertwiner:
     def test_loop_generator_example(self):
@@ -296,6 +301,10 @@ class TestCheckIntertwiner:
         assert report.passed, report.counterexample
         assert report.seed == 5
         assert report.cases == 25 * len(monomial_grid(2, 1))
+
+    def test_word_of_another_kappa_raises(self):
+        with pytest.raises(RankMismatchError, match="word kappa 2 does not match kappa 5"):
+            check_intertwiner(5, single_generator_words(2)[:1], monomial_grid(2, 0))
 
 
 def _flip_d(value: ScalarPoly) -> ScalarPoly:
@@ -366,6 +375,10 @@ class TestCheckSubrep:
         report = check_subrep_closure(3, words, monomials, seed=9)
         assert report.passed, report.counterexample
         assert report.cases == 10
+
+    def test_word_of_another_kappa_raises(self):
+        with pytest.raises(RankMismatchError, match="word kappa 2 does not match kappa 5"):
+            check_subrep_closure(5, single_generator_words(2)[:1], [LaurentPoly.one(2)])
 
 
 class TestAveragingEigenvalue:

@@ -81,6 +81,10 @@ class TestWordAlgebra:
         with pytest.raises(ValueError):
             parse_word("s1", 2) * parse_word("s1", 3)
 
+    def test_kappa_mismatch_raises_the_rank_error(self):
+        with pytest.raises(RankMismatchError, match="cannot concatenate words with kappa 2 and 3"):
+            parse_word("s1", 2) * parse_word("s1", 3)
+
     def test_letter_out_of_range_at_construction(self):
         with pytest.raises(ValueError):
             GeneratorWord(2, letters(("s", 2, 1)))
