@@ -44,8 +44,8 @@ from typing import Iterable, Mapping
 from ._tokens import TokenStream, check_exponents, parse_signed_int, parse_signed_sum
 from .errors import NonDivisibleError, ParseError, RankMismatchError, check_index
 from .scalars import (
-    ScalarPoly, _format_scalar_term, c_power, hbar, join_signed, parse_scalar_factor,
-    parse_scalar_sum,
+    ScalarPoly, _format_scalar_term, _times, c_power, format_powers, hbar, join_signed,
+    parse_scalar_factor, parse_scalar_sum,
 )
 
 ExponentVector = tuple[int, ...]
@@ -208,9 +208,7 @@ class SparseCombination:
         if len(coeff._terms) == 1:
             ((triple, n),) = coeff._terms.items()
             sign, scalar_body = _format_scalar_term(n, triple)
-            if not body:
-                return sign, scalar_body
-            return sign, body if scalar_body == "1" else f"{scalar_body}*{body}"
+            return sign, _times(scalar_body, body)
         # Multi-term coefficient: parenthesize, except for a lone constant term
         # where the bare scalar form round-trips unambiguously.
         if not body:
@@ -314,13 +312,7 @@ class LaurentPoly(SparseCombination):
 
 
 def _monomial_string(exps: ExponentVector, letter: str) -> str:
-    parts = []
-    for i, e in enumerate(exps, start=1):
-        if e == 1:
-            parts.append(f"{letter}{i}")
-        elif e != 0:
-            parts.append(f"{letter}{i}^{e}")
-    return "*".join(parts)
+    return format_powers([f"{letter}{i}" for i in range(1, len(exps) + 1)], exps)
 
 
 # -- variable operators --------------------------------------------------------

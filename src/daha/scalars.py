@@ -243,26 +243,32 @@ def hbar() -> ScalarPoly:
 
 def _format_scalar_term(coeff: int, exps: ExponentTriple) -> tuple[int, str]:
     """Return (sign, unsigned rendering) of one term, e.g. (-1, "2*s^2*c")."""
-    parts = []
-    for name, e in zip(_VAR_NAMES, exps):
-        if e == 1:
-            parts.append(name)
-        elif e != 0:
-            parts.append(f"{name}^{e}")
-    magnitude = abs(coeff)
-    if not parts:
-        body = str(magnitude)
-    elif magnitude == 1:
-        body = "*".join(parts)
-    else:
-        body = str(magnitude) + "*" + "*".join(parts)
-    return (1 if coeff > 0 else -1, body)
+    return (1 if coeff > 0 else -1, _times(str(abs(coeff)), format_powers(_VAR_NAMES, exps)))
+
+
+def _times(factor: str, body: str) -> str:
+    """Print the product ``factor*body``, dropping a factor ``1``; an empty
+    body (the unit monomial) prints the factor alone."""
+    if not body:
+        return factor
+    return body if factor == "1" else f"{factor}*{body}"
+
+
+def format_powers(names: Iterable[str], exps: Iterable[int]) -> str:
+    """Join ``name^e`` for each name and nonzero exponent with ``*``, writing
+    exponent 1 as the bare name; no nonzero exponent gives ``""``.
+
+    The one printer of powers in the package: scalar terms, the X_i and a_i
+    monomials, generator letters and runs of a letter in a word.
+    """
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
 
 
 def join_signed(terms: Iterable[tuple[int, str]]) -> str:
     """Join (sign, unsigned rendering) pairs as ``a - b + c``; no terms give ``0``.
 
-    The one printer of every sparse form in the package.
+    The one printer of sums in the package: scalars, Laurent polynomials and
+    skein elements all print their terms through it.
     """
     pieces: list[str] = []
     for sign, body in terms:

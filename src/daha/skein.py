@@ -44,14 +44,6 @@ Generator actions (all pure functions; inputs never mutated):
   and their inverse-letter consequences, which the tests keep as the slow
   oracle.
 
-  :func:`act_sigma` pushes each exponent vector once.  Its
-  divided-difference half ``g * sum c_sigma (1, sigma)`` has
-  |n_i - n_{i+1}| terms per input term, and no two of them share a key, so
-  it is placed without merging.  Terms merge, and may cancel, only in the
-  braided half (``f`` times the two-case rule), across exponent groups, and
-  in products of :meth:`SkeinElement.multiply_by_a_poly` by elements with
-  several exponent vectors.
-
 * ``y_1`` sends (a^n, sigma) to c^(2 n_1) times the basis pair with
   cyclically shifted exponents (a_kappa picks up n_1) and permutation
   t_1, ..., t_{kappa-1} applied in that order, then applies the braid chain

@@ -29,7 +29,8 @@ The three checks are finite, exact (zero-tolerance) test suites:
 Each check walks every case, never stops early, counts failures, and keeps
 the first counterexample, so a systematic error is visible in full.  A word
 or input of another rank than the check's kappa raises
-:class:`~daha.errors.RankMismatchError` before any case runs.
+:class:`~daha.errors.RankMismatchError`, and an input of the other module
+:class:`TypeError`, before any case runs.
 """
 
 from __future__ import annotations
@@ -197,10 +198,11 @@ def random_words(kappa: int, count: int, max_len: int, seed: int) -> list[Genera
 
 
 def _act(rep: str):
+    """The word action of the representation rep and the class of its values."""
     if rep == "poly":
-        return polyrep.act_word
+        return polyrep.act_word, LaurentPoly
     if rep == "skein":
-        return skein_mod.act_word
+        return skein_mod.act_word, SkeinElement
     raise ValueError(f"unknown representation {rep!r}; expected 'poly' or 'skein'")
 
 
@@ -220,6 +222,16 @@ def _require_kappa(kappa: int, what: str, ranks) -> None:
             raise RankMismatchError(f"{what} {rank} does not match kappa {kappa}")
 
 
+def _input_ranks(values, cls: type):
+    """Yield the rank of each of values, raising :class:`TypeError` first at
+    one that is not a ``cls``, so an input of the other module fails before
+    any case runs instead of deep inside an action."""
+    for value in values:
+        if not isinstance(value, cls):
+            raise TypeError(f"expected a {cls.__name__} input, got {type(value).__name__}")
+        yield value._rank
+
+
 def default_relation_bound(kappa: int, rep: str) -> int:
     if rep == "poly":
         return 3 if kappa <= 3 else 2
@@ -234,8 +246,8 @@ def check_relations(
 ) -> list[CheckReport]:
     """Evaluate both sides of every defining relation on every input through
     the chosen representation ('poly' or 'skein'); exact comparison."""
-    act = _act(rep)
-    _require_kappa(kappa, "input rank", (value._rank for value in inputs))
+    act, cls = _act(rep)
+    _require_kappa(kappa, "input rank", _input_ranks(inputs, cls))
     if relations is None:
         relations = relation_table(kappa)
     reports = []
@@ -263,6 +275,7 @@ def check_intertwiner(
     error symmetrize raises, are those of the plain comparison.
     """
     _require_kappa(kappa, "word kappa", (word.kappa for word in words))
+    _require_kappa(kappa, "input rank", _input_ranks(monomials, LaurentPoly))
     tally = _Tally()
     for word in words:
         for f in monomials:
@@ -282,8 +295,13 @@ def check_subrep_closure(
     """Check that the d = s skein action keeps symmetrized elements inside
     the symmetrized subspace: each image must be the symmetrization
     (:func:`is_symmetrization`) of the polynomial g that holds one of its
-    coefficients at each of its exponent vectors."""
+    coefficients at each of its exponent vectors.  The i-th word acts on the
+    i-th monomial, so the two lists must have the same length."""
+    if len(words) != len(monomials):
+        raise ValueError(
+            f"{len(words)} words but {len(monomials)} monomials; the subrep check pairs them")
     _require_kappa(kappa, "word kappa", (word.kappa for word in words))
+    _require_kappa(kappa, "input rank", _input_ranks(monomials, LaurentPoly))
     tally = _Tally()
     for word, f in zip(words, monomials):
         image = skein_mod.act_word(word, symmetrize(f)).substitute_d_eq_s()

@@ -23,12 +23,13 @@ combination: a tuple of (ScalarPoly coefficient, word) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from operator import index
 from typing import Callable, Iterable
 
 from ._tokens import TokenStream, parse_signed_int
 from .errors import ParseError, RankMismatchError, check_index
-from .scalars import ScalarPoly, c_power, hbar
+from .scalars import ScalarPoly, c_power, format_powers, hbar
 
 _KINDS = ("s", "x", "y")
 
@@ -61,7 +62,7 @@ class GeneratorLetter:
         return GeneratorLetter(self.kind, self.index, -self.sign)
 
     def __str__(self) -> str:
-        return f"{self.kind}{self.index}" + ("^-1" if self.sign < 0 else "")
+        return format_powers((f"{self.kind}{self.index}",), (self.sign,))
 
 
 def _max_index(kind: str, kappa: int) -> int:
@@ -113,28 +114,14 @@ class GeneratorWord:
 
     def __str__(self) -> str:
         # Compress runs of an identical letter into ^n; parsing re-expands.
-        if not self.letters:
-            return ""
-        pieces = []
-        run_letter, run_len = self.letters[0], 1
-        for letter in self.letters[1:]:
-            if letter == run_letter:
-                run_len += 1
-                continue
-            pieces.append(_run_string(run_letter, run_len))
-            run_letter, run_len = letter, 1
-        pieces.append(_run_string(run_letter, run_len))
-        return "*".join(pieces)
+        names, exps = [], []
+        for letter, run in groupby(self.letters):
+            names.append(f"{letter.kind}{letter.index}")
+            exps.append(letter.sign * len(list(run)))
+        return format_powers(names, exps)
 
     def __repr__(self) -> str:
         return f"<GeneratorWord kappa={self.kappa} {str(self) or '(identity)'}>"
-
-
-def _run_string(letter: GeneratorLetter, run_len: int) -> str:
-    exp = letter.sign * run_len
-    if exp == 1:
-        return f"{letter.kind}{letter.index}"
-    return f"{letter.kind}{letter.index}^{exp}"
 
 
 def parse_word(text: str, kappa: int) -> GeneratorWord:

@@ -400,6 +400,18 @@ class TestTextFormat:
         assert str(LaurentPoly.one(2).scale(hbar2())) == "s^2 - 2 + s^-2"
         assert repr(-X(1)) == "<LaurentPoly rank=2 -X1>"
 
+    @pytest.mark.parametrize("exps, coeff, text", [
+        ((-1, 2), 1, "X1^-1*X2^2"),
+        ((-1, 2, 1), -1, "-X1^-1*X2^2*X3"),
+        ((2, 1, 0), s_power(-1) * 3, "3*s^-1*X1^2*X2"),
+        ((0, -1, 2), -2, "-2*X2^-1*X3^2"),
+        ((1, 0, -1), c_power(2), "c^2*X1*X3^-1"),
+        ((0, 0, 0), -3, "-3"),
+    ])
+    def test_monomial_powers_in_every_position(self, exps, coeff, text):
+        # Exponents -1, 1, 2 and 0 each reach every X_i; a factor 1 is dropped.
+        assert str(LaurentPoly.monomial(len(exps), exps, coeff)) == text
+
     def test_parse_examples(self):
         assert parse_laurent("s*X1^2*X2^-1 + c^2*X2", 2) == (
             X(1, 2) * X(2, -1) * s_power(1) + X(2) * c_power(2)

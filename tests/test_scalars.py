@@ -198,6 +198,18 @@ class TestTextFormat:
         assert str(-s_power(1)) == "-s"
         assert str(c_power(2) * d_power(-3) * 2) == "2*c^2*d^-3"
 
+    @pytest.mark.parametrize("exps, coeff, text", [
+        ((-1, 2, 1), 3, "3*s^-1*c^2*d"),
+        ((0, -1, 2), -1, "-c^-1*d^2"),
+        ((2, 0, -1), 1, "s^2*d^-1"),
+        ((1, 1, 0), -2, "-2*s*c"),
+        ((0, 0, 0), 1, "1"),
+        ((0, 0, 0), -5, "-5"),
+    ])
+    def test_powers_in_every_position(self, exps, coeff, text):
+        # Exponents -1, 1, 2 and 0 each reach s, c and d; a factor 1 is dropped.
+        assert str(ScalarPoly.monomial(*exps, coeff=coeff)) == text
+
     def test_parse_examples(self):
         assert parse_scalar("s^2 - 2 + s^-2") == hbar() * hbar()
         assert parse_scalar("-3*c*d^-1 + 1") == ScalarPoly({(0, 1, -1): -3, (0, 0, 0): 1})

@@ -671,6 +671,17 @@ class TestTextFormat:
         assert str(unit(2, E2).scale(hbar())) == "(s - s^-1)*(1,[1 2])"
         assert repr(-unit(2, T2)) == "<SkeinElement kappa=2 -(1,[2 1])>"
 
+    @pytest.mark.parametrize("exps, images, coeff, text", [
+        ((1, 0, -1), (2, 3, 1), 1, "(a1*a3^-1,[2 3 1])"),
+        ((-1, 2, 1), (1, 2, 3), -1, "-(a1^-1*a2^2*a3,[1 2 3])"),
+        ((2, -1, 0), (3, 1, 2), d_power(-1) * 2, "2*d^-1*(a1^2*a2^-1,[3 1 2])"),
+        ((0, 1, 2), (3, 2, 1), -3, "-3*(a2*a3^2,[3 2 1])"),
+        ((0, 0, 0), (1, 3, 2), s_power(1), "s*(1,[1 3 2])"),
+    ])
+    def test_basis_pair_powers_in_every_position(self, exps, images, coeff, text):
+        # Exponents -1, 1, 2 and 0 each reach every a_i; a factor 1 is dropped.
+        assert str(SkeinElement.basis(3, exps, Permutation(images), coeff)) == text
+
     def test_parse_examples(self):
         assert parse_skein("(a1^2*a2^-1, [2 1])", 2) == SkeinElement.basis(2, (2, -1), T2)
         assert parse_skein("c^4*(a1^-1*a2^2,[1 2])", 2) == SkeinElement.basis(

@@ -270,6 +270,16 @@ class TestCheckRelations:
         with pytest.raises(RankMismatchError, match="input rank 2 does not match kappa 5"):
             check_relations(5, "poly", monomial_grid(2, 0), relations=relation_table(2))
 
+    @pytest.mark.parametrize("kappa", [2, 3])
+    def test_skein_check_rejects_a_polynomial_input(self, kappa):
+        value = LaurentPoly.monomial(kappa, (1,) + (0,) * (kappa - 1))
+        with pytest.raises(TypeError, match="expected a SkeinElement input, got LaurentPoly"):
+            check_relations(kappa, "skein", [value])
+
+    def test_poly_check_rejects_a_skein_input(self):
+        with pytest.raises(TypeError, match="expected a LaurentPoly input, got SkeinElement"):
+            check_relations(2, "poly", [SkeinElement.basis(2, [1, 0])])
+
 
 class TestCheckIntertwiner:
     def test_loop_generator_example(self):
@@ -305,6 +315,10 @@ class TestCheckIntertwiner:
     def test_word_of_another_kappa_raises(self):
         with pytest.raises(RankMismatchError, match="word kappa 2 does not match kappa 5"):
             check_intertwiner(5, single_generator_words(2)[:1], monomial_grid(2, 0))
+
+    def test_skein_input_raises(self):
+        with pytest.raises(TypeError, match="expected a LaurentPoly input, got SkeinElement"):
+            check_intertwiner(2, single_generator_words(2), [SkeinElement.basis(2, [1, 0])])
 
 
 def _flip_d(value: ScalarPoly) -> ScalarPoly:
@@ -379,6 +393,17 @@ class TestCheckSubrep:
     def test_word_of_another_kappa_raises(self):
         with pytest.raises(RankMismatchError, match="word kappa 2 does not match kappa 5"):
             check_subrep_closure(5, single_generator_words(2)[:1], [LaurentPoly.one(2)])
+
+    def test_skein_input_raises(self):
+        with pytest.raises(TypeError, match="expected a LaurentPoly input, got SkeinElement"):
+            check_subrep_closure(2, single_generator_words(2)[:1], [SkeinElement.basis(2, [1, 0])])
+
+    @pytest.mark.parametrize("num_words, num_monomials", [(3, 1), (1, 2)])
+    def test_lists_of_different_lengths_raise(self, num_words, num_monomials):
+        words = single_generator_words(2)[:num_words]
+        monomials = [LaurentPoly.monomial(2, [1, 0])] * num_monomials
+        with pytest.raises(ValueError, match=f"{num_words} words but {num_monomials} monomials"):
+            check_subrep_closure(2, words, monomials)
 
 
 class TestAveragingEigenvalue:

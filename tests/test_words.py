@@ -127,6 +127,26 @@ class TestWordAlgebra:
         assert type(word.kappa) is int
         assert word == parse_word("x1", 1)
 
+    def test_runs_of_both_signs_print_apart(self):
+        word = GeneratorWord(2, letters(("s", 1, 1), ("s", 1, 1), ("s", 1, -1),
+                                        ("x", 2, -1), ("x", 2, -1)))
+        assert str(word) == "s1^2*s1^-1*x2^-2"
+        assert parse_word(str(word), 2) == word
+
+    @pytest.mark.parametrize("text, printed", [
+        ("s1*s1*s1^-1*x2^-1*x2^-1", "s1^2*s1^-1*x2^-2"),
+        ("y1^-1", "y1^-1"),
+        ("s2^-1*s2^-1*s1*s2^-1", "s2^-2*s1*s2^-1"),
+        ("x3*x3*x3", "x3^3"),
+        ("", ""),
+    ])
+    def test_word_prints(self, text, printed):
+        assert str(parse_word(text, 3)) == printed
+
+    @pytest.mark.parametrize("sign, printed", [(1, "y3"), (-1, "y3^-1")])
+    def test_letter_prints(self, sign, printed):
+        assert str(GeneratorLetter("y", 3, sign)) == printed
+
     @given(generator_words())
     def test_inverse_reverses_and_flips(self, word):
         inv = word.inverse()
