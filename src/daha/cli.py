@@ -30,7 +30,6 @@ from math import factorial
 from . import __version__, polyrep, verify
 from . import skein as skein_mod
 from ._tokens import MAX_TEXT_CHARS
-from .errors import ParseError, RankMismatchError
 from .laurent import LaurentPoly, parse_laurent
 from .skein import parse_skein
 from .verify import CheckReport
@@ -260,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval":
             return _cmd_eval(args)
         return _cmd_check(args)
-    except (ParseError, RankMismatchError, ValueError, IndexError, OSError, ArithmeticError) as exc:
+    except (ValueError, IndexError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

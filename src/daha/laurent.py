@@ -263,12 +263,6 @@ class LaurentPoly(SparseCombination):
     def rank(self) -> int:
         return self._rank
 
-    def coefficients_have_d(self) -> bool:
-        for coeff in self._terms.values():
-            if coeff.has_d():
-                return True
-        return False
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -353,6 +347,7 @@ def rotate_variables_inverse(f: LaurentPoly) -> LaurentPoly:
 
 def adjacent_ratio(rank: int, i: int) -> LaurentPoly:
     """The monomial Y = X_i * X_{i+1}^-1; a product by it is a key shift."""
+    i = check_index("adjacent-pair index", i, rank - 1)
     shift = [0] * rank
     shift[i - 1], shift[i] = 1, -1
     return _wrap(LaurentPoly, rank, {tuple(shift): ScalarPoly.one()})

@@ -106,16 +106,8 @@ class Permutation(tuple):
     def identity(cls, kappa: int) -> "Permutation":
         return cls(tuple(range(1, kappa + 1)))
 
-    @property
-    def images(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    @property
-    def size(self) -> int:
-        return len(self)
-
     def __call__(self, j: int) -> int:
-        """The image of position j, for 1 <= j <= size."""
+        """The image of position j, for 1 <= j <= len(self)."""
         return self[check_index("position", j, len(self)) - 1]
 
     def precompose_swap(self, i: int) -> "Permutation":
@@ -203,7 +195,7 @@ class SkeinElement(SparseCombination):
         coefficient 1.  A translation of the exponent vectors is injective,
         so no terms merge or cancel.  Each distinct exponent vector is
         shifted once: in a symmetrized element kappa! terms share one."""
-        offset = tuple(map(index, offset))
+        offset = LaurentPoly._check_key(self._rank, offset)
         shifted: dict[ExponentVector, ExponentVector] = {}
         data: dict[BasisKey, ScalarPoly] = {}
         for (exps, perm), coeff in self._terms.items():

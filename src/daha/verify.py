@@ -113,7 +113,7 @@ def symmetrize(f: LaurentPoly) -> SkeinElement:
     built: the basis pairs are distinct and every coefficient is a nonzero
     coefficient of f.
     """
-    if f.coefficients_have_d():
+    if any(coeff.has_d() for coeff in f._terms.values()):
         raise ValueError("the averaging map is not defined for coefficients involving d")
     kappa = f._rank
     perms = list(all_permutations(kappa))
@@ -214,22 +214,19 @@ def _apply_side(side, value, act):
     return result
 
 
-def _require_kappa(kappa: int, what: str, ranks) -> None:
-    """Raise :class:`RankMismatchError` at the first of ``ranks`` that is not
-    ``kappa``, so a report never names a kappa it did not check."""
-    for rank in ranks:
-        if rank != kappa:
-            raise RankMismatchError(f"{what} {rank} does not match kappa {kappa}")
-
-
-def _input_ranks(values, cls: type):
-    """Yield the rank of each of values, raising :class:`TypeError` first at
-    one that is not a ``cls``, so an input of the other module fails before
-    any case runs instead of deep inside an action."""
+def _check_inputs(kappa: int, cls: type, values, words=()) -> None:
+    """Raise before any case runs, so a report never names a kappa it did not
+    check: :class:`RankMismatchError` at the first word of another kappa,
+    then, input by input, :class:`TypeError` for a class other than ``cls``
+    and :class:`RankMismatchError` for another rank."""
+    for word in words:
+        if word.kappa != kappa:
+            raise RankMismatchError(f"word kappa {word.kappa} does not match kappa {kappa}")
     for value in values:
         if not isinstance(value, cls):
             raise TypeError(f"expected a {cls.__name__} input, got {type(value).__name__}")
-        yield value._rank
+        if value._rank != kappa:
+            raise RankMismatchError(f"input rank {value._rank} does not match kappa {kappa}")
 
 
 def default_relation_bound(kappa: int, rep: str) -> int:
@@ -247,7 +244,7 @@ def check_relations(
     """Evaluate both sides of every defining relation on every input through
     the chosen representation ('poly' or 'skein'); exact comparison."""
     act, cls = _act(rep)
-    _require_kappa(kappa, "input rank", _input_ranks(inputs, cls))
+    _check_inputs(kappa, cls, inputs)
     if relations is None:
         relations = relation_table(kappa)
     reports = []
@@ -274,8 +271,7 @@ def check_intertwiner(
     symmetrize(word . f) for its report, so the counterexample, and any
     error symmetrize raises, are those of the plain comparison.
     """
-    _require_kappa(kappa, "word kappa", (word.kappa for word in words))
-    _require_kappa(kappa, "input rank", _input_ranks(monomials, LaurentPoly))
+    _check_inputs(kappa, LaurentPoly, monomials, words)
     tally = _Tally()
     for word in words:
         for f in monomials:
@@ -300,8 +296,7 @@ def check_subrep_closure(
     if len(words) != len(monomials):
         raise ValueError(
             f"{len(words)} words but {len(monomials)} monomials; the subrep check pairs them")
-    _require_kappa(kappa, "word kappa", (word.kappa for word in words))
-    _require_kappa(kappa, "input rank", _input_ranks(monomials, LaurentPoly))
+    _check_inputs(kappa, LaurentPoly, monomials, words)
     tally = _Tally()
     for word, f in zip(words, monomials):
         image = skein_mod.act_word(word, symmetrize(f)).substitute_d_eq_s()

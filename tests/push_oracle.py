@@ -92,7 +92,7 @@ def push_by_letters(
 def sigma_letter_by_letter(i: int, letters, perm: Permutation) -> SkeinElement:
     """s_i . (letters . (1, perm)) computed recursively, one loop letter at a
     time, without assembling the pushed pair."""
-    kappa = perm.size
+    kappa = len(perm)
     if not letters:
         return act_sigma_base(i, perm)
     (j, sign), rest = letters[0], letters[1:]

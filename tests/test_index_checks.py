@@ -9,7 +9,7 @@ import pytest
 
 from daha import LaurentPoly, Permutation, SkeinElement, expand_x, expand_y, polyrep, skein
 from daha.errors import check_index
-from daha.laurent import exact_divide, swap_variables
+from daha.laurent import adjacent_ratio, exact_divide, swap_variables
 
 KAPPA = 3
 
@@ -18,6 +18,7 @@ KAPPA = 3
 CHECKS = [
     (lambda i: swap_variables(LaurentPoly.one(KAPPA), i), "adjacent-pair index", KAPPA - 1),
     (lambda i: exact_divide(LaurentPoly.zero(KAPPA), i), "adjacent-pair index", KAPPA - 1),
+    (lambda i: adjacent_ratio(KAPPA, i), "adjacent-pair index", KAPPA - 1),
     (lambda i: polyrep.act_sigma(i, LaurentPoly.one(KAPPA)), "adjacent-pair index", KAPPA - 1),
     (lambda i: LaurentPoly.variable(KAPPA, i), "variable index", KAPPA),
     (lambda i: polyrep.act_x(i, LaurentPoly.one(KAPPA)), "variable index", KAPPA),
@@ -32,10 +33,10 @@ CHECKS = [
     (lambda i: expand_y(i, KAPPA), "loop index", KAPPA),
 ]
 IDS = [
-    "swap_variables", "exact_divide", "polyrep.act_sigma", "LaurentPoly.variable",
-    "polyrep.act_x", "Permutation.__call__", "Permutation.precompose_swap", "skein.act_x",
-    "skein.act_x-zero", "skein.act_sigma_base", "skein.act_sigma", "skein.act_sigma-zero",
-    "expand_x", "expand_y",
+    "swap_variables", "exact_divide", "adjacent_ratio", "polyrep.act_sigma",
+    "LaurentPoly.variable", "polyrep.act_x", "Permutation.__call__", "Permutation.precompose_swap",
+    "skein.act_x", "skein.act_x-zero", "skein.act_sigma_base", "skein.act_sigma",
+    "skein.act_sigma-zero", "expand_x", "expand_y",
 ]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,8 +98,8 @@ def product_merges(monkeypatch):
 
 
 def inverse(perm: Permutation) -> Permutation:
-    images = [0] * perm.size
-    for j, v in enumerate(perm.images, start=1):
+    images = [0] * len(perm)
+    for j, v in enumerate(perm, start=1):
         images[v - 1] = j
     return Permutation(tuple(images))
 
@@ -112,9 +113,9 @@ class TestPermutation:
 
     @given(permutations(), st.data())
     def test_swap_is_involution(self, perm, data):
-        if perm.size == 1:
+        if len(perm) == 1:
             return
-        i = data.draw(st.integers(min_value=1, max_value=perm.size - 1))
+        i = data.draw(st.integers(min_value=1, max_value=len(perm) - 1))
         assert perm.precompose_swap(i).precompose_swap(i) == perm
 
     def test_swap_flips_value_comparison(self):
@@ -165,14 +166,14 @@ class TestPermutation:
 
     @given(permutations())
     def test_equal_images_give_equal_hashes(self, perm):
-        twin = Permutation(tuple(perm.images))
+        twin = Permutation(tuple(perm))
         assert twin == perm and twin is not perm
         assert hash(twin) == hash(perm)
         assert {perm: 1}[twin] == 1
-        if perm.size > 1:
+        if len(perm) > 1:
             swapped = perm.precompose_swap(1)
             assert swapped != perm
-            assert hash(swapped) == hash(Permutation(swapped.images))
+            assert hash(swapped) == hash(Permutation(tuple(swapped)))
 
     def test_is_immutable(self):
         perm = Permutation((2, 1))
@@ -188,7 +189,7 @@ class TestPermutation:
     def test_is_the_tuple_of_its_images(self):
         perm = Permutation((2, 3, 1))
         assert perm == (2, 3, 1) and hash(perm) == hash((2, 3, 1))
-        assert perm.images == (2, 3, 1) and type(perm.images) is tuple
+        assert tuple(perm) == (2, 3, 1) and len(perm) == 3
         assert repr(perm) == "Permutation(images=(2, 3, 1))"
         with pytest.raises(TypeError, match=r"not an \(exponents, Permutation\) pair"):
             SkeinElement(3, [(((0, 0, 0), (2, 3, 1)), 1)])
@@ -214,6 +215,13 @@ class TestLoopLetters:
             act_x(1, v, exp)
         with pytest.raises(TypeError):
             v.shift_exponents((exp, 0))
+
+    @pytest.mark.parametrize("offset", [(1,), (1, 0, 0, 5)])
+    def test_offset_of_another_length_raises(self, offset):
+        v = SkeinElement.basis(3, (1, 2, 3))
+        message = rf"^exponent vector {re.escape(str(offset))} has length {len(offset)}, expected 3$"
+        with pytest.raises(ValueError, match=message):
+            v.shift_exponents(offset)
 
     def test_integer_like_exponent_becomes_an_int(self):
         shifted = act_x(1, unit(2, E2), True)

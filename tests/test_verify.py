@@ -321,6 +321,15 @@ class TestCheckIntertwiner:
             check_intertwiner(2, single_generator_words(2), [SkeinElement.basis(2, [1, 0])])
 
 
+def test_preconditions_check_words_then_each_input_class_before_rank():
+    # The input is of the other module and of another rank.
+    skein_input = SkeinElement.basis(2, [1, 0])
+    with pytest.raises(RankMismatchError, match="word kappa 2 does not match kappa 3"):
+        check_intertwiner(3, single_generator_words(2)[:1], [skein_input])
+    with pytest.raises(TypeError, match="expected a LaurentPoly input, got SkeinElement"):
+        check_intertwiner(3, single_generator_words(3)[:1], [skein_input])
+
+
 def _flip_d(value: ScalarPoly) -> ScalarPoly:
     return ScalarPoly([((e_s, e_c, -e_d), n) for (e_s, e_c, e_d), n in value.terms.items()])
 
