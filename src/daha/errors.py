@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the one index range check."""
+"""Exception types shared across the package, the one index range check, and
+the one unpickling rule of the validating dataclasses."""
 
 from __future__ import annotations
 
+from dataclasses import fields
 from operator import index
 
 
@@ -35,3 +37,10 @@ def check_index(what: str, i: int, most: int) -> int:
     if not 1 <= i <= most:
         raise IndexError(f"{what} {i} out of range 1..{most}")
     return i
+
+
+def reduce_through_constructor(self):
+    """``__reduce__`` of a validating dataclass: pickle its fields, in order, as
+    the constructor's arguments, so unpickling runs every check of
+    ``__post_init__`` under every protocol."""
+    return type(self), tuple(getattr(self, field.name) for field in fields(self))

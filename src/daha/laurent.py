@@ -123,9 +123,6 @@ class SparseCombination:
     def terms(self) -> Mapping:
         return MappingProxyType(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def term_count(self) -> int:
         return len(self._terms)
 
@@ -164,8 +161,6 @@ class SparseCombination:
     def _scale(self, coeff: ScalarPoly | int):
         if not isinstance(coeff, ScalarPoly):
             coeff = ScalarPoly.integer(coeff)
-        if not coeff._terms:
-            return _wrap(type(self), self._rank, {})
         if coeff.is_one():
             return self
         return self._map_coefficients("__mul__", coeff)

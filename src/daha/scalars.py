@@ -89,9 +89,6 @@ class ScalarPoly:
     def terms(self) -> Mapping[ExponentTriple, int]:
         return MappingProxyType(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_one(self) -> bool:
         return self._terms == _ONE._terms
 

@@ -393,7 +393,7 @@ def _parse_skein_term(ts: TokenStream, kappa: int, sign: int) -> tuple[BasisKey,
         tok = ts.peek()
         factor = parse_scalar_factor(ts)
         if factor is not None:
-            explicit_zero = explicit_zero or factor.is_zero()
+            explicit_zero = explicit_zero or not factor
             coeff = coeff * factor
         elif tok.kind == "(" and _starts_basis_pair(ts):
             pair = _parse_basis_pair(ts, kappa)
@@ -411,7 +411,7 @@ def _parse_skein_term(ts: TokenStream, kappa: int, sign: int) -> tuple[BasisKey,
         if not ts.accept("*"):
             break
     if basis is None:
-        if coeff.is_zero() and explicit_zero:
+        if not coeff and explicit_zero:
             return None
         raise ParseError("term is missing its (monomial, permutation) basis pair", ts.peek().pos)
     return basis, coeff

@@ -42,7 +42,7 @@ from math import factorial
 
 from . import polyrep
 from . import skein as skein_mod
-from .errors import RankMismatchError
+from .errors import RankMismatchError, reduce_through_constructor
 from .laurent import LaurentPoly, _wrap
 from .skein import SkeinElement, all_permutations
 from .words import GeneratorLetter, GeneratorWord, RelationPair, relation_table
@@ -69,14 +69,12 @@ class CheckReport:
     counterexample: Counterexample | None = None
 
     def __post_init__(self):
+        if not 0 <= self.failures <= self.cases:
+            raise ValueError(f"failures must lie in 0..cases, got {self.failures} of {self.cases}")
         if (self.failures == 0) != (self.counterexample is None):
             raise ValueError("failures == 0 must coincide with the absence of a counterexample")
 
-    def __reduce__(self):
-        # Unpickle through the validating constructor, under every protocol.
-        return CheckReport, (
-            self.label, self.kappa, self.cases, self.failures, self.seed, self.counterexample,
-        )
+    __reduce__ = reduce_through_constructor
 
     @property
     def passed(self) -> bool:
@@ -242,11 +240,15 @@ def check_relations(
     relations: list[RelationPair] | None = None,
 ) -> list[CheckReport]:
     """Evaluate both sides of every defining relation on every input through
-    the chosen representation ('poly' or 'skein'); exact comparison."""
+    the chosen representation ('poly' or 'skein'); exact comparison.
+    ``relations=None`` checks the full table; an empty list raises
+    ``ValueError``, since no report would read as a pass."""
     act, cls = _act(rep)
     _check_inputs(kappa, cls, inputs)
     if relations is None:
         relations = relation_table(kappa)
+    elif not relations:
+        raise ValueError("check_relations needs at least one relation (None checks the full table)")
     reports = []
     for relation in relations:
         tally = _Tally()

@@ -28,7 +28,7 @@ from operator import index
 from typing import Callable, Iterable
 
 from ._tokens import TokenStream, parse_signed_int
-from .errors import ParseError, RankMismatchError, check_index
+from .errors import ParseError, RankMismatchError, check_index, reduce_through_constructor
 from .scalars import ScalarPoly, c_power, format_powers, hbar
 
 _KINDS = ("s", "x", "y")
@@ -54,9 +54,7 @@ class GeneratorLetter:
         if self.index < 1:
             raise ValueError(f"letter index must be >= 1, got {self.index}")
 
-    def __reduce__(self):
-        # Unpickle through the validating constructor, under every protocol.
-        return GeneratorLetter, (self.kind, self.index, self.sign)
+    __reduce__ = reduce_through_constructor
 
     def inverse(self) -> "GeneratorLetter":
         return GeneratorLetter(self.kind, self.index, -self.sign)
@@ -90,13 +88,7 @@ class GeneratorWord:
                 )
         object.__setattr__(self, "letters", letters)
 
-    def __reduce__(self):
-        # Unpickle through the validating constructor, under every protocol.
-        return GeneratorWord, (self.kappa, self.letters)
-
-    @classmethod
-    def identity(cls, kappa: int) -> "GeneratorWord":
-        return cls(kappa)
+    __reduce__ = reduce_through_constructor
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -134,7 +126,7 @@ def parse_word(text: str, kappa: int) -> GeneratorWord:
     """
     ts = TokenStream(text)
     if ts.at_end():
-        return GeneratorWord.identity(kappa)
+        return GeneratorWord(kappa)
     letters: list[GeneratorLetter] = []
     while True:
         tok = ts.peek()

@@ -16,11 +16,13 @@ from daha import (
     NonDivisibleError,
     RankMismatchError,
     ScalarPoly,
+    SkeinElement,
     c_power,
     d_power,
     exact_divide,
     hbar,
     parse_laurent,
+    parse_skein,
     rotate_variables,
     rotate_variables_inverse,
     s_power,
@@ -170,6 +172,14 @@ class TestRingOps:
         for factor in (hbar(), ScalarPoly.integer(2), s_power(-1), ScalarPoly.one()):
             expected = laurent_product(LaurentPoly.monomial(2, (0, 0), factor), f)
             assert f.scale(factor) == expected
+
+    @pytest.mark.parametrize("zero", [0, ScalarPoly.zero()], ids=["int", "scalar"])
+    def test_scale_by_zero_is_the_zero_of_the_same_rank(self, zero):
+        # Every product is zero, so _map_coefficients keeps no term.
+        f = parse_laurent("(s + s^-1)*X1^2*X2^-1 + c^2*X3", 3)
+        v = parse_skein("c^4*(a1^-1*a2^2,[1 2]) - d*(a1,[2 1])", 2)
+        assert f.scale(zero) == LaurentPoly.zero(3)
+        assert v.scale(zero) == SkeinElement.zero(2)
 
     def test_one_term_product_shifts_keys(self):
         f = X(1, 2).scale(s_power(1) - s_power(-1)) - X(2).scale(c_power(3))
@@ -347,7 +357,7 @@ class TestBraidKernel:
         for f, i in symmetric:
             swapped, g = braid_kernel(f, i)
             assert swapped == f
-            assert g.is_zero()
+            assert not g
 
 
 class TestSubstitute:

@@ -95,7 +95,7 @@ def test_unpickling_canonicalizes_a_scalar():
     data = pickle.dumps(ScalarPoly.integer(3), 2)
     assert data.count(b"K\x03") == 1
     copy = pickle.loads(data.replace(b"K\x03", b"K\x00"))
-    assert copy.is_zero()
+    assert not copy
     assert copy == ScalarPoly.zero()
 
 
@@ -121,3 +121,16 @@ def test_unpickling_validates_a_check_report():
     assert data.count(b"K\x00") == 1
     with pytest.raises(ValueError, match="failures == 0 must coincide"):
         pickle.loads(data.replace(b"K\x00", b"K\x01"))
+
+
+def test_unpickling_checks_the_counts_of_a_check_report():
+    # Rewrite cases 3 as 1: two failures cannot come from one case.
+    witness = Counterexample("w", "v", "l", "r")
+    data = pickle.dumps(CheckReport("x", 2, 3, 2, None, witness), 2)
+    assert data.count(b"K\x03") == 1
+    with pytest.raises(ValueError, match="failures must lie in 0..cases"):
+        pickle.loads(data.replace(b"K\x03", b"K\x01"))
+
+
+def test_validating_dataclasses_share_one_unpickling_rule():
+    assert GeneratorLetter.__reduce__ is GeneratorWord.__reduce__ is CheckReport.__reduce__

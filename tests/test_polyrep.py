@@ -181,7 +181,7 @@ class TestYLetter:
 class TestWordAction:
     def test_identity_word(self):
         f = X(1, 2) * X(2)
-        assert act_word(GeneratorWord.identity(2), f) == f
+        assert act_word(GeneratorWord(2), f) == f
 
     def test_inverse_pair(self):
         f = X(1, 2) * X(2)

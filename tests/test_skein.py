@@ -568,7 +568,7 @@ class TestYAction:
 class TestWordAction:
     def test_identity(self):
         v = SkeinElement.basis(2, (2, -1), T2)
-        assert act_word(GeneratorWord.identity(2), v) == v
+        assert act_word(GeneratorWord(2), v) == v
 
     def test_worked_example_via_word(self):
         v = SkeinElement.basis(2, (2, -1), T2)

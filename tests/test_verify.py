@@ -237,6 +237,16 @@ class TestCheckReport:
         with pytest.raises(ValueError):
             CheckReport("x", 2, 1, 0, None, Counterexample("w", "v", "l", "r"))
 
+    @pytest.mark.parametrize("cases, failures", [(-3, 0), (1, 5), (2, -1)])
+    def test_failures_lie_in_zero_to_cases(self, cases, failures):
+        witness = Counterexample("w", "v", "l", "r") if failures else None
+        with pytest.raises(ValueError, match=r"failures must lie in 0\.\.cases"):
+            CheckReport("x", 2, cases, failures, None, witness)
+
+    def test_counts_at_the_ends_of_the_range(self):
+        assert CheckReport("x", 2, 0, 0).passed
+        assert not CheckReport("x", 2, 1, 1, None, Counterexample("w", "v", "l", "r")).passed
+
 
 class TestCheckRelations:
     def test_poly_small_grid_passes(self):
@@ -254,13 +264,18 @@ class TestCheckRelations:
             1,
             "bogus",
             ((ScalarPoly.one(), parse_word("s1", 2)),),
-            ((ScalarPoly.one(), GeneratorWord.identity(2)),),
+            ((ScalarPoly.one(), GeneratorWord(2)),),
         )
         inputs = monomial_grid(2, 1)
         (report,) = check_relations(2, "poly", inputs, relations=[bogus])
         assert report.failures == report.cases == len(inputs)
         assert report.counterexample is not None
         assert report.counterexample.word == "bogus"
+
+    def test_empty_relation_list_raises(self):
+        # No report would read as a pass with nothing checked.
+        with pytest.raises(ValueError, match="at least one relation"):
+            check_relations(2, "poly", monomial_grid(2, 1), relations=[])
 
     def test_unknown_representation(self):
         with pytest.raises(ValueError):

@@ -33,8 +33,8 @@ class TestParsing:
         assert word.letters == tuple(letters(("s", 1, 1), ("y", 1, -1), ("x", 2, 1)))
 
     def test_empty_is_identity(self):
-        assert parse_word("", 3) == GeneratorWord.identity(3)
-        assert parse_word("   ", 3) == GeneratorWord.identity(3)
+        assert parse_word("", 3) == GeneratorWord(3)
+        assert parse_word("   ", 3) == GeneratorWord(3)
 
     def test_index_out_of_range(self):
         with pytest.raises(ParseError, match="index out of range"):
@@ -49,7 +49,7 @@ class TestParsing:
         )
 
     def test_zero_exponent_vanishes(self):
-        assert parse_word("s1^0", 2) == GeneratorWord.identity(2)
+        assert parse_word("s1^0", 2) == GeneratorWord(2)
 
     def test_word_length_cap(self):
         # Only one letter past the cap: the check runs before any expansion.
@@ -256,7 +256,7 @@ class TestRelationTable:
     def test_torus_relation_kappa_one_degenerates(self):
         table = relation_table(1)
         assert [r.number for r in table] == [9]
-        assert table[0].rhs == ((c_power(2), GeneratorWord.identity(1)),)
+        assert table[0].rhs == ((c_power(2), GeneratorWord(1)),)
 
     def test_far_commutation_instances(self):
         table = relation_table(4)
@@ -270,7 +270,7 @@ class TestRelationTable:
         assert relation.lhs == ((ScalarPoly.one(), parse_word("s1^2", 2)),)
         assert relation.rhs == (
             (hbar(), parse_word("s1", 2)),
-            (ScalarPoly.one(), GeneratorWord.identity(2)),
+            (ScalarPoly.one(), GeneratorWord(2)),
         )
 
     def test_instance_counts(self):
