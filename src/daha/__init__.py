@@ -14,7 +14,8 @@ The package implements, over the integer Laurent ring Z[s^±1, c^±1, d^±1]:
 All values are immutable after construction and every operation is a pure
 function, so values can be shared freely between threads or processes.
 Values pickle under every protocol; scalars, polynomials, skein elements,
-permutations, words and letters unpickle through validating constructors.
+permutations, words, letters and check reports unpickle through validating
+constructors.
 """
 
 from .errors import NonDivisibleError, ParseError, RankMismatchError

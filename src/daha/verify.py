@@ -242,7 +242,7 @@ def check_relations(
     """Evaluate both sides of every defining relation on every input through
     the chosen representation ('poly' or 'skein'); exact comparison.
     ``relations=None`` checks the full table; an empty list raises
-    ``ValueError``, since no report would read as a pass."""
+    ``ValueError``, since an empty list of reports would read as a pass."""
     act, cls = _act(rep)
     _check_inputs(kappa, cls, inputs)
     if relations is None:

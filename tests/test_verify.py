@@ -273,7 +273,7 @@ class TestCheckRelations:
         assert report.counterexample.word == "bogus"
 
     def test_empty_relation_list_raises(self):
-        # No report would read as a pass with nothing checked.
+        # An empty list of reports would read as a pass with nothing checked.
         with pytest.raises(ValueError, match="at least one relation"):
             check_relations(2, "poly", monomial_grid(2, 1), relations=[])
 
