@@ -10,7 +10,7 @@ Whitespace separates tokens and is otherwise ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .errors import ParseError
 
@@ -115,7 +115,7 @@ class TokenStream:
     def at_end(self) -> bool:
         return self.peek().kind == "end"
 
-    def fail(self, message: str) -> None:
+    def fail(self, message: str) -> NoReturn:
         raise ParseError(message, self.peek().pos)
 
 

@@ -42,7 +42,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ._tokens import TokenStream, check_exponents, parse_signed_int, parse_signed_sum
-from .errors import NonDivisibleError, ParseError, RankMismatchError, check_index
+from .errors import NonDivisibleError, RankMismatchError, check_index
 from .scalars import (
     ScalarPoly, _format_scalar_term, _times, c_power, format_powers, hbar, join_signed,
     parse_scalar_factor, parse_scalar_sum,
@@ -63,12 +63,10 @@ def _wrap(cls: type, rank: int, data: dict):
     return obj
 
 
-def accumulate(data: dict, items: Iterable[tuple], coeff: ScalarPoly | None = None) -> None:
-    """Add the (key, value) pairs of items, each times coeff if given, into
-    data in place, dropping every key whose total is zero."""
+def accumulate(data: dict, items: Iterable[tuple]) -> None:
+    """Add the (key, value) pairs of items into data in place, dropping every
+    key whose total is zero."""
     for key, value in items:
-        if coeff is not None:
-            value = value * coeff
         total = data.get(key)
         total = value if total is None else total + value
         if total._terms:
@@ -163,14 +161,13 @@ class SparseCombination:
             coeff = ScalarPoly.integer(coeff)
         if coeff.is_one():
             return self
-        return self._map_coefficients("__mul__", coeff)
+        return self._map_coefficients(ScalarPoly.__mul__, coeff)
 
-    def _map_coefficients(self, method: str, *args):
-        """Apply the :class:`ScalarPoly` method ``method`` to each coefficient,
-        once per run of one coefficient object (as in exact_divide's
-        quotients), dropping zero results.  It is looked up on every call, so
+    def _map_coefficients(self, apply, *args):
+        """Return ``apply(coeff, *args)`` for each coefficient, once per run of
+        one coefficient object (as in exact_divide's quotients), dropping zero
+        results.  Callers read ``apply`` off :class:`ScalarPoly` at each call, so
         a replaced method sees every use."""
-        apply = getattr(ScalarPoly, method)
         data = {}
         last = new = None
         for key, coeff in self._terms.items():
@@ -286,8 +283,9 @@ class LaurentPoly(SparseCombination):
         data: dict[ExponentVector, ScalarPoly] = {}
         for a_key, a_coeff in self._terms.items():
             accumulate(data, (
-                (tuple(map(add, a_key, b_key)), b_coeff) for b_key, b_coeff in other._terms.items()
-            ), a_coeff)
+                (tuple(map(add, a_key, b_key)), b_coeff * a_coeff)
+                for b_key, b_coeff in other._terms.items()
+            ))
         return _wrap(LaurentPoly, self._rank, data)
 
     __rmul__ = __mul__
@@ -297,7 +295,7 @@ class LaurentPoly(SparseCombination):
 
     def substitute_d_eq_s(self) -> "LaurentPoly":
         """Set d = s in every coefficient (cancellations are pruned)."""
-        return self._map_coefficients("substitute_d_eq_s")
+        return self._map_coefficients(ScalarPoly.substitute_d_eq_s)
 
 
 def _monomial_string(exps: ExponentVector, letter: str) -> str:
@@ -457,9 +455,7 @@ def _parse_laurent_term(ts: TokenStream, rank: int, sign: int) -> tuple[Exponent
             coeff = coeff * parse_scalar_sum(ts)
             ts.expect(")", "')'")
         else:
-            raise ParseError(
-                f"expected a polynomial factor, found {tok.text or 'end of input'!r}", tok.pos
-            )
+            ts.fail(f"expected a polynomial factor, found {tok.text or 'end of input'!r}")
         if not ts.accept("*"):
             check_exponents(exps, "X", start)
             return tuple(exps), coeff

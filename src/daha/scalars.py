@@ -28,7 +28,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ._tokens import TokenStream, parse_signed_int, parse_signed_sum
-from .errors import ParseError
 
 ExponentTriple = tuple[int, int, int]
 
@@ -326,4 +325,4 @@ def _parse_factor(ts: TokenStream) -> ScalarPoly:
     tok = ts.peek()
     if tok.kind == "name":
         ts.fail(f"expected one of s, c, d, found {tok.text!r}")
-    raise ParseError(f"expected a scalar factor, found {tok.text or 'end of input'!r}", tok.pos)
+    ts.fail(f"expected a scalar factor, found {tok.text or 'end of input'!r}")

@@ -66,7 +66,7 @@ from operator import add, index
 from typing import Iterable, Iterator, Sequence
 
 from ._tokens import TokenStream, check_exponents, parse_signed_int, parse_signed_sum
-from .errors import ParseError, check_index
+from .errors import check_index
 from .laurent import (
     LaurentPoly, SparseCombination, _monomial_string, _wrap, accumulate, braid_kernel,
 )
@@ -236,7 +236,7 @@ class SkeinElement(SparseCombination):
 
     def substitute_d_eq_s(self) -> "SkeinElement":
         """Set d = s in every coefficient (cancellations are pruned)."""
-        return self._map_coefficients("substitute_d_eq_s")
+        return self._map_coefficients(ScalarPoly.substitute_d_eq_s)
 
 
 # -- generator actions ---------------------------------------------------------
@@ -315,9 +315,9 @@ def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
                 data = product
         for perm, coeff in pairs:
             accumulate(data, (
-                ((swapped_exps, base_perm), base_coeff)
+                ((swapped_exps, base_perm), base_coeff * coeff)
                 for (_, base_perm), base_coeff in act_sigma_base(i, perm)._terms.items()
-            ), coeff)
+            ))
     return _wrap(SkeinElement, kappa, data)
 
 
@@ -405,15 +405,13 @@ def _parse_skein_term(ts: TokenStream, kappa: int, sign: int) -> tuple[BasisKey,
             coeff = coeff * parse_scalar_sum(ts)
             ts.expect(")", "')'")
         else:
-            raise ParseError(
-                f"expected a term factor, found {tok.text or 'end of input'!r}", tok.pos
-            )
+            ts.fail(f"expected a term factor, found {tok.text or 'end of input'!r}")
         if not ts.accept("*"):
             break
     if basis is None:
         if not coeff and explicit_zero:
             return None
-        raise ParseError("term is missing its (monomial, permutation) basis pair", ts.peek().pos)
+        ts.fail("term is missing its (monomial, permutation) basis pair")
     return basis, coeff
 
 

@@ -39,13 +39,16 @@ import random
 from dataclasses import dataclass
 from itertools import product
 from math import factorial
+from operator import index
+from typing import Iterable
 
 from . import polyrep
 from . import skein as skein_mod
 from .errors import RankMismatchError, reduce_through_constructor
 from .laurent import LaurentPoly, _wrap
+from .scalars import s_power
 from .skein import SkeinElement, all_permutations
-from .words import GeneratorLetter, GeneratorWord, RelationPair, relation_table
+from .words import _KINDS, GeneratorLetter, GeneratorWord, RelationPair, _max_index, relation_table
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class Counterexample:
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one check suite: case/failure counts plus the first
-    counterexample, if any."""
+    counterexample, if any.  Integer fields pass through ``operator.index``."""
 
     label: str
     kappa: int
@@ -69,6 +72,13 @@ class CheckReport:
     counterexample: Counterexample | None = None
 
     def __post_init__(self):
+        for name in ("kappa", "cases", "failures"):
+            object.__setattr__(self, name, index(getattr(self, name)))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", index(self.seed))
+        if not isinstance(self.counterexample, (Counterexample, type(None))):
+            raise TypeError(f"counterexample must be a Counterexample or None, "
+                            f"got {type(self.counterexample).__name__}")
         if not 0 <= self.failures <= self.cases:
             raise ValueError(f"failures must lie in 0..cases, got {self.failures} of {self.cases}")
         if (self.failures == 0) != (self.counterexample is None):
@@ -166,9 +176,8 @@ def basis_grid(kappa: int, bound: int) -> list[SkeinElement]:
 def _generator_letters(kappa: int) -> list[GeneratorLetter]:
     """Every generator and derived loop generator letter, each sign in turn:
     the braid letters s_i, then the loop letters x_i, then y_i."""
-    indices = {"s": range(1, kappa), "x": range(1, kappa + 1), "y": range(1, kappa + 1)}
     return [GeneratorLetter(kind, i, sign)
-            for kind, kind_indices in indices.items() for i in kind_indices for sign in (1, -1)]
+            for kind in _KINDS for i in range(1, _max_index(kind, kappa) + 1) for sign in (1, -1)]
 
 
 def default_alphabet(kappa: int) -> list[GeneratorLetter]:
@@ -237,17 +246,17 @@ def check_relations(
     kappa: int,
     rep: str,
     inputs: list,
-    relations: list[RelationPair] | None = None,
+    relations: Iterable[RelationPair] | None = None,
 ) -> list[CheckReport]:
     """Evaluate both sides of every defining relation on every input through
     the chosen representation ('poly' or 'skein'); exact comparison.
-    ``relations=None`` checks the full table; an empty list raises
-    ``ValueError``, since an empty list of reports would read as a pass."""
+    ``relations`` may be any iterable; ``None`` checks the full table, and an
+    empty one raises ``ValueError``, since an empty list of reports would read
+    as a pass."""
     act, cls = _act(rep)
     _check_inputs(kappa, cls, inputs)
-    if relations is None:
-        relations = relation_table(kappa)
-    elif not relations:
+    relations = relation_table(kappa) if relations is None else list(relations)
+    if not relations:
         raise ValueError("check_relations needs at least one relation (None checks the full table)")
     reports = []
     for relation in relations:
@@ -310,8 +319,6 @@ def check_subrep_closure(
 def check_averaging_eigenvalue(kappa: int) -> CheckReport:
     """For every permutation and braid index, s_i applied to
     (1, sigma) + (1, t_i sigma) equals s times that sum once d = s."""
-    from .scalars import s_power
-
     tally = _Tally()
     zero_exps = (0,) * kappa
     for perm in all_permutations(kappa):

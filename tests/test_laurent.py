@@ -67,6 +67,24 @@ class TestRingOps:
         got = X(2).scale(c_power(2)) * X(1, -1)
         assert got == LaurentPoly.monomial(2, (-1, 1), c_power(2))
 
+    @pytest.mark.parametrize("operate", [
+        lambda f, v: f + v,
+        lambda f, v: f - v,
+        lambda f, v: f * v,
+        lambda f, v: f * 1.5,
+    ], ids=["add", "sub", "mul", "mul-float"])
+    def test_operand_of_another_class_raises(self, operate):
+        with pytest.raises(TypeError):
+            operate(X(1), SkeinElement.basis(2, (1, 0)))
+
+    def test_values_of_another_class_are_unequal(self):
+        assert X(1) != SkeinElement.basis(2, (1, 0))
+        assert LaurentPoly.one(2) != 1
+
+    def test_equal_values_hash_equal(self):
+        assert hash(X(1) + X(2)) == hash(parse_laurent("X2 + X1", 2))
+        assert hash(SkeinElement.basis(2, (1, 0))) == hash(parse_skein("(a1,[1 2])", 2))
+
     @pytest.mark.parametrize("value", [0.5, 1.7, 1.0000001])
     def test_constructor_rejects_non_integer_exponents(self, value):
         with pytest.raises(TypeError):
@@ -430,6 +448,7 @@ class TestTextFormat:
             X(1, 2) * X(2, -1) * s_power(1) + X(2) * c_power(2)
         )
         assert parse_laurent("0", 2) == LaurentPoly.zero(2)
+        assert parse_laurent("X1^+2", 2) == X(1, 2)
         assert parse_laurent("(s + s^-1)*X1 - 3", 2) == (
             X(1).scale(s_power(1) + s_power(-1)) - LaurentPoly.one(2) * 3
         )

@@ -43,6 +43,19 @@ class TestArithmetic:
     def test_partial_cancellation(self):
         assert hbar() + s_power(-1) == s_power(1)
 
+    @pytest.mark.parametrize("operate", [
+        lambda a: a + 1.5,
+        lambda a: a - 1.5,
+        lambda a: a * 1.5,
+        lambda a: a + 1,
+    ], ids=["add-float", "sub-float", "mul-float", "add-int"])
+    def test_operand_of_another_class_raises(self, operate):
+        with pytest.raises(TypeError):
+            operate(ONE)
+
+    def test_values_of_another_class_are_unequal(self):
+        assert (ONE == 1) is False
+
     @given(lopsided_pairs(scalar_polys(min_terms=8, max_terms=16), scalar_polys(max_terms=2)))
     def test_sum_of_unequal_operands_matches_oracle(self, pair):
         big, little = pair
@@ -197,6 +210,7 @@ class TestTextFormat:
         assert str(s_power(1)) == "s"
         assert str(-s_power(1)) == "-s"
         assert str(c_power(2) * d_power(-3) * 2) == "2*c^2*d^-3"
+        assert repr(hbar()) == "<ScalarPoly s - s^-1>"
 
     @pytest.mark.parametrize("exps, coeff, text", [
         ((-1, 2, 1), 3, "3*s^-1*c^2*d"),

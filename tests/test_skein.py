@@ -89,9 +89,9 @@ def product_merges(monkeypatch):
     branch; placing pairwise disjoint shifted copies makes none."""
     calls = []
 
-    def counting(data, items, coeff=None):
+    def counting(data, items):
         calls.append(1)
-        accumulate(data, items, coeff)
+        accumulate(data, items)
 
     monkeypatch.setattr(skein_module, "accumulate", counting)
     return calls

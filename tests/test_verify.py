@@ -243,6 +243,24 @@ class TestCheckReport:
         with pytest.raises(ValueError, match=r"failures must lie in 0\.\.cases"):
             CheckReport("x", 2, cases, failures, None, witness)
 
+    @pytest.mark.parametrize("fields", [
+        ("x", 2.5, 1.5, 0),
+        ("x", 2, 1, 1, None, "oops"),
+        ("x", 2, 0, 0, 7.0),
+    ], ids=["float-counts", "text-counterexample", "float-seed"])
+    def test_field_types_are_checked(self, fields):
+        with pytest.raises(TypeError):
+            CheckReport(*fields)
+
+    def test_integer_like_fields_become_ints(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        report = CheckReport("x", Two(), Two(), 0, Two())
+        assert (report.kappa, report.cases, report.seed) == (2, 2, 2)
+        assert type(report.kappa) is type(report.cases) is type(report.seed) is int
+
     def test_counts_at_the_ends_of_the_range(self):
         assert CheckReport("x", 2, 0, 0).passed
         assert not CheckReport("x", 2, 1, 1, None, Counterexample("w", "v", "l", "r")).passed
@@ -273,9 +291,18 @@ class TestCheckRelations:
         assert report.counterexample.word == "bogus"
 
     def test_empty_relation_list_raises(self):
-        # An empty list of reports would read as a pass with nothing checked.
-        with pytest.raises(ValueError, match="at least one relation"):
-            check_relations(2, "poly", monomial_grid(2, 1), relations=[])
+        # An empty list of reports would read as a pass with nothing checked,
+        # whether the relations come as a list, an iterator or a spent generator.
+        spent = (relation for relation in relation_table(2))
+        list(spent)
+        for relations in ([], iter([]), spent):
+            with pytest.raises(ValueError, match="at least one relation"):
+                check_relations(2, "poly", monomial_grid(2, 1), relations=relations)
+
+    def test_relations_may_be_any_iterable(self):
+        inputs = monomial_grid(2, 1)
+        from_iterator = check_relations(2, "poly", inputs, relations=iter(relation_table(2)))
+        assert from_iterator == check_relations(2, "poly", inputs)
 
     def test_unknown_representation(self):
         with pytest.raises(ValueError):

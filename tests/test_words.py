@@ -77,6 +77,14 @@ class TestWordAlgebra:
         right = parse_word("x1", 2)
         assert str(left * right) == "s1*x1"
 
+    def test_product_takes_only_words(self):
+        with pytest.raises(TypeError):
+            parse_word("s1", 2) * 2
+
+    def test_repr(self):
+        assert repr(parse_word("s1*x2^-1", 2)) == "<GeneratorWord kappa=2 s1*x2^-1>"
+        assert repr(GeneratorWord(3)) == "<GeneratorWord kappa=3 (identity)>"
+
     def test_kappa_mismatch(self):
         with pytest.raises(ValueError):
             parse_word("s1", 2) * parse_word("s1", 3)
