@@ -34,8 +34,9 @@ from .skein import (
     all_permutations,
     parse_skein,
     push_sigma_past_monomial,
+    symmetrize,
 )
-from .verify import CheckReport, Counterexample, symmetrize
+from .verify import CheckReport, Counterexample
 from .words import (
     GeneratorLetter,
     GeneratorWord,

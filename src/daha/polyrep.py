@@ -9,8 +9,8 @@ The generators act on ``Z[s^±1, c^±1][X_1^±1, ..., X_k^±1]`` by
 
   where the division is exact; the pair (swap_i(f), the quotient term) is
   :func:`~daha.laurent.braid_kernel`, which the skein push-through shares,
-* ``y_1``: the twisted rotation :func:`~daha.laurent.rotate_variables`
-  followed by s_{k-1}^-1, ..., s_1^-1 (rotation acts first),
+* ``y_1``: :func:`~daha.words.apply_y1` over the twisted rotation
+  :func:`~daha.laurent.rotate_variables`,
 * ``s_i^-1 = s_i - (s - s^-1)`` from the quadratic relation, computed in the
   closed form
 
@@ -18,8 +18,7 @@ The generators act on ``Z[s^±1, c^±1][X_1^±1, ..., X_k^±1]`` by
 
   with (swap_i(f), g) the same kernel pair: since
   ``(s - s^-1) * (swap_i(f) - f) = (X_i X_{i+1}^-1 - 1) * g``, the sum
-  ``s * swap_i(f) + g - (s - s^-1) * f`` equals it.  ``y_1^-1`` is the exact
-  inverse chain s_1, ..., s_{k-1}, then the inverse rotation.
+  ``s * swap_i(f) + g - (s - s^-1) * f`` equals it.
 
 Words act letter by letter, rightmost letter first, so that word
 concatenation matches operator composition for a left action; the dispatcher
@@ -35,7 +34,7 @@ from .laurent import (
     LaurentPoly, adjacent_ratio, braid_kernel, rotate_variables, rotate_variables_inverse,
 )
 from .scalars import s_power
-from .words import GeneratorWord, apply_word
+from .words import GeneratorWord, apply_word, apply_y1, apply_y1_inv
 
 
 def act_x(i: int, f: LaurentPoly, exp: int = 1) -> LaurentPoly:
@@ -62,24 +61,13 @@ def act_sigma_inv(i: int, f: LaurentPoly) -> LaurentPoly:
 
 
 def act_y1(f: LaurentPoly) -> LaurentPoly:
-    """Apply y_1: rotation first, then s_{k-1}^-1 down to s_1^-1.
-
-    The composition order is forced: applying the rotation last breaks the
-    torus relation x1^-1 y1 x1 y1^-1 = c^2 s1...s1 in the representation
-    (the test suite checks both facts).
-    """
-    g = rotate_variables(f)
-    for i in range(f._rank - 1, 0, -1):
-        g = act_sigma_inv(i, g)
-    return g
+    """Apply y_1 (:func:`~daha.words.apply_y1`)."""
+    return apply_y1(f, rotate_variables, act_sigma_inv)
 
 
 def act_y1_inv(f: LaurentPoly) -> LaurentPoly:
-    """Apply the inverse of y_1: s_1 up to s_{k-1}, then the inverse rotation."""
-    g = f
-    for i in range(1, f._rank):
-        g = act_sigma(i, g)
-    return rotate_variables_inverse(g)
+    """Apply y_1^-1 (:func:`~daha.words.apply_y1_inv`)."""
+    return apply_y1_inv(f, rotate_variables_inverse, act_sigma)
 
 
 def act_word(word: GeneratorWord, f: LaurentPoly) -> LaurentPoly:

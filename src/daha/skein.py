@@ -44,10 +44,10 @@ Generator actions (all pure functions; inputs never mutated):
   and their inverse-letter consequences, which the tests keep as the slow
   oracle.
 
-* ``y_1`` sends (a^n, sigma) to c^(2 n_1) times the basis pair with
-  cyclically shifted exponents (a_kappa picks up n_1) and permutation
-  t_1, ..., t_{kappa-1} applied in that order, then applies the braid chain
-  s_{kappa-1}^-1 first down to s_1^-1 last.
+* ``y_1`` is :func:`~daha.words.apply_y1` over the rotation that sends
+  (a^n, sigma) to c^(2 n_1) times the basis pair with cyclically shifted
+  exponents (a_kappa picks up n_1) and permutation t_1, ..., t_{kappa-1}
+  applied in that order, which moves the first image to the end.
 
 * ``s_i^-1 = s_i - hbar`` and ``y_1^-1`` are exact operator inverses,
   validated by round-trip tests rather than separate closed forms.
@@ -56,12 +56,22 @@ Generator actions (all pure functions; inputs never mutated):
 basis pairs, sharing storage, arithmetic and printing with the Laurent
 polynomials, and :func:`act_word` runs the shared word dispatcher
 :func:`~daha.words.apply_word` over this module's generator actions.
+
+:func:`symmetrize` is the averaging map from Laurent polynomials to the
+skein module,
+
+    X_1^{n_1} ... X_k^{n_k}  |->  sum over all sigma in S_k of
+                                  (a_1^{n_1} ... a_k^{n_k}, sigma),
+
+extended linearly.  Its domain has no d, so inputs whose coefficients carry
+d-exponents are rejected.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import partial
+from math import factorial
 from operator import add, index
 from typing import Iterable, Iterator, Sequence
 
@@ -71,7 +81,7 @@ from .laurent import (
     LaurentPoly, SparseCombination, _monomial_string, _wrap, accumulate, braid_kernel,
 )
 from .scalars import ScalarPoly, c_power, d_power, hbar, parse_scalar_factor, parse_scalar_sum
-from .words import GeneratorWord, apply_word
+from .words import GeneratorWord, apply_word, apply_y1, apply_y1_inv
 
 ExponentVector = tuple[int, ...]
 
@@ -326,35 +336,17 @@ def act_sigma_inv(i: int, v: SkeinElement) -> SkeinElement:
     return act_sigma(i, v) - v.scale(hbar())
 
 
-# The swaps at positions 1, 2, ..., kappa-1, applied in that order, move the
-# first image of a permutation to the end: the permutation rotates as the
-# exponents do.  Both rotations are bijections and c-powers are units, so the
-# shifts in act_y1 and act_y1_inv can neither merge nor cancel terms.
-
-
-def act_y1(v: SkeinElement) -> SkeinElement:
-    """Apply y_1.
-
-    Per basis term (a^n, sigma): scale by c^(2 n_1), shift the exponents
-    cyclically so that a_kappa carries n_1, replace sigma by its rotation
-    (swaps at positions 1, 2, ..., kappa-1 applied in that order), then act
-    by the braid chain s_{kappa-1}^-1 first, s_1^-1 last.
-    """
-    result = _wrap(SkeinElement, v._rank, {
+def _rotate(v: SkeinElement) -> SkeinElement:
+    """The rotation of y_1 (see the module docstring).  It and its inverse
+    are bijections on basis pairs times unit c-powers: no term merges or cancels."""
+    return _wrap(SkeinElement, v._rank, {
         (exps[1:] + exps[:1], Permutation._raw(Permutation, perm[1:] + perm[:1])):
             coeff * c_power(2 * exps[0])
         for (exps, perm), coeff in v._terms.items()
     })
-    for i in range(v._rank - 1, 0, -1):
-        result = act_sigma_inv(i, result)
-    return result
 
 
-def act_y1_inv(v: SkeinElement) -> SkeinElement:
-    """Apply the exact inverse of y_1 (braid chain s_1 first, then the
-    inverse shift); validated by round-trip tests."""
-    for i in range(1, v._rank):
-        v = act_sigma(i, v)
+def _rotate_inverse(v: SkeinElement) -> SkeinElement:
     return _wrap(SkeinElement, v._rank, {
         (exps[-1:] + exps[:-1], Permutation._raw(Permutation, perm[-1:] + perm[:-1])):
             coeff * c_power(-2 * exps[-1])
@@ -362,9 +354,61 @@ def act_y1_inv(v: SkeinElement) -> SkeinElement:
     })
 
 
+def act_y1(v: SkeinElement) -> SkeinElement:
+    """Apply y_1 (:func:`~daha.words.apply_y1`)."""
+    return apply_y1(v, _rotate, act_sigma_inv)
+
+
+def act_y1_inv(v: SkeinElement) -> SkeinElement:
+    """Apply y_1^-1 (:func:`~daha.words.apply_y1_inv`)."""
+    return apply_y1_inv(v, _rotate_inverse, act_sigma)
+
+
 def act_word(word: GeneratorWord, v: SkeinElement) -> SkeinElement:
     """Act by a generator word, rightmost letter first (:func:`~daha.words.apply_word`)."""
     return apply_word(word, v, (act_x, act_sigma, act_sigma_inv, act_y1, act_y1_inv))
+
+
+# -- the averaging map -----------------------------------------------------------
+
+
+def symmetrize(f: LaurentPoly) -> SkeinElement:
+    """Send each monomial to the sum of basis pairs over all permutations.
+
+    The coefficients of f must not involve d.  The result is canonical as
+    built: the basis pairs are distinct and every coefficient is a nonzero
+    coefficient of f.
+    """
+    if any(coeff.has_d() for coeff in f._terms.values()):
+        raise ValueError("the averaging map is not defined for coefficients involving d")
+    kappa = f._rank
+    perms = list(all_permutations(kappa))
+    data = {(exps, perm): coeff for exps, coeff in f._terms.items() for perm in perms}
+    return _wrap(SkeinElement, kappa, data)
+
+
+def is_symmetrization(v: SkeinElement, f: LaurentPoly) -> bool:
+    """Whether ``v == symmetrize(f)``, decided without building the right side.
+
+    That holds exactly when the ranks match, v has ``kappa!`` terms for each
+    term of f, and every coefficient of v equals the coefficient of f at its
+    exponent vector: v's basis pairs are distinct, so together they are then
+    every (exponent vector of f, permutation) pair.  A coefficient object
+    already found equal at an exponent vector is not compared again.  Unlike
+    :func:`symmetrize` it accepts a d in f's coefficients, which makes a
+    mismatch against any v at d = s.
+    """
+    if v._rank != f._rank or len(v._terms) != len(f._terms) * factorial(f._rank):
+        return False
+    expected = f._terms
+    confirmed: dict = {}
+    for (exps, _), coeff in v._terms.items():
+        if confirmed.get(exps) is not coeff:
+            want = expected.get(exps)
+            if want is None or coeff._terms != want._terms:
+                return False
+            confirmed[exps] = coeff
+    return True
 
 
 # -- parsing -----------------------------------------------------------------

@@ -1,15 +1,6 @@
 """Verification suites: relation checks, the intertwining identity, and the
 symmetrized-subspace closure.
 
-The central object is :func:`symmetrize`, the averaging map from Laurent
-polynomials to the skein module,
-
-    X_1^{n_1} ... X_k^{n_k}  |->  sum over all sigma in S_k of
-                                  (a_1^{n_1} ... a_k^{n_k}, sigma),
-
-extended linearly.  Its domain has no d, so inputs whose coefficients carry
-d-exponents are rejected.
-
 The three checks are finite, exact (zero-tolerance) test suites:
 
 * :func:`check_relations` -- the nine defining relations as operator
@@ -38,16 +29,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from math import factorial
 from operator import index
 from typing import Iterable
 
 from . import polyrep
 from . import skein as skein_mod
 from .errors import RankMismatchError, reduce_through_constructor
-from .laurent import LaurentPoly, _wrap
+from .laurent import LaurentPoly
 from .scalars import s_power
-from .skein import SkeinElement, all_permutations
+from .skein import SkeinElement, all_permutations, is_symmetrization, symmetrize
 from .words import _KINDS, GeneratorLetter, GeneratorWord, RelationPair, _max_index, relation_table
 
 
@@ -109,48 +99,6 @@ class _Tally:
 
     def report(self, label: str, kappa: int, seed: int | None = None) -> CheckReport:
         return CheckReport(label, kappa, self.cases, self.failures, seed, self.first)
-
-
-# -- the averaging map ----------------------------------------------------------
-
-
-def symmetrize(f: LaurentPoly) -> SkeinElement:
-    """Send each monomial to the sum of basis pairs over all permutations.
-
-    The coefficients of f must not involve d.  The result is canonical as
-    built: the basis pairs are distinct and every coefficient is a nonzero
-    coefficient of f.
-    """
-    if any(coeff.has_d() for coeff in f._terms.values()):
-        raise ValueError("the averaging map is not defined for coefficients involving d")
-    kappa = f._rank
-    perms = list(all_permutations(kappa))
-    data = {(exps, perm): coeff for exps, coeff in f._terms.items() for perm in perms}
-    return _wrap(SkeinElement, kappa, data)
-
-
-def is_symmetrization(v: SkeinElement, f: LaurentPoly) -> bool:
-    """Whether ``v == symmetrize(f)``, decided without building the right side.
-
-    That holds exactly when the ranks match, v has ``kappa!`` terms for each
-    term of f, and every coefficient of v equals the coefficient of f at its
-    exponent vector: v's basis pairs are distinct, so together they are then
-    every (exponent vector of f, permutation) pair.  A coefficient object
-    already found equal at an exponent vector is not compared again.  Unlike
-    :func:`symmetrize` it accepts a d in f's coefficients, which makes a
-    mismatch against any v at d = s.
-    """
-    if v._rank != f._rank or len(v._terms) != len(f._terms) * factorial(f._rank):
-        return False
-    expected = f._terms
-    confirmed: dict = {}
-    for (exps, _), coeff in v._terms.items():
-        if confirmed.get(exps) is not coeff:
-            want = expected.get(exps)
-            if want is None or coeff._terms != want._terms:
-                return False
-            confirmed[exps] = coeff
-    return True
 
 
 # -- input suites ----------------------------------------------------------------
@@ -311,7 +259,7 @@ def check_subrep_closure(
     tally = _Tally()
     for word, f in zip(words, monomials):
         image = skein_mod.act_word(word, symmetrize(f)).substitute_d_eq_s()
-        g = _wrap(LaurentPoly, image._rank, {exps: c for (exps, _), c in image._terms.items()})
+        g = LaurentPoly(kappa, {exps: c for (exps, _), c in image.terms.items()})
         tally.record(is_symmetrization(image, g), str(word), f, image, "<permutation-uniform>")
     return tally.report("subrep", kappa, seed)
 

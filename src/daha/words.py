@@ -11,8 +11,10 @@ equality of algebra elements is only ever tested through the two module
 actions.  Each letter carries a kind ('s', 'x' or 'y'), a 1-based index, and
 a sign (+1 or -1 for the inverse letter).
 
-:func:`apply_word` is the one word dispatcher: both module actions run a
-word through it with their own generator actions.
+:func:`apply_word` is the one word dispatcher, and :func:`apply_y1` the one
+y_1: a twisted rotation, then s_{kappa-1}^-1, ..., s_1^-1 (the rotation acts
+first; :func:`apply_y1_inv` inverts it).  Both module actions run them with
+their own rotation and generator actions.
 
 :func:`relation_table` returns the nine defining relations.  Most are plain
 word equalities; the quadratic relation (number 8) and the torus relation
@@ -191,6 +193,23 @@ def apply_word(word: GeneratorWord, v, actions: tuple[Callable, ...]):
             expansion = expand_y(i, word.kappa)
             v = apply_word(expansion if sign > 0 else expansion.inverse(), v, actions)
     return v
+
+
+def apply_y1(v, rotate: Callable, act_sigma_inv: Callable):
+    """Act by y_1 on v: ``rotate`` first, then s_{kappa-1}^-1 down to s_1^-1.
+    The order is forced: the rotation last breaks the torus relation
+    x1^-1 y1 x1 y1^-1 = c^2 s1...s1 (the test suite checks both facts)."""
+    v = rotate(v)
+    for i in range(v._rank - 1, 0, -1):
+        v = act_sigma_inv(i, v)
+    return v
+
+
+def apply_y1_inv(v, rotate_inverse: Callable, act_sigma: Callable):
+    """Act by y_1^-1 on v: s_1 up to s_{kappa-1}, then ``rotate_inverse``."""
+    for i in range(1, v._rank):
+        v = act_sigma(i, v)
+    return rotate_inverse(v)
 
 
 Side = tuple[tuple[ScalarPoly, GeneratorWord], ...]
