@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
+import daha
 from daha import (
     CheckReport,
     GeneratorWord,
@@ -21,7 +22,7 @@ from daha import (
     s_power,
     symmetrize,
 )
-from daha import polyrep, skein
+from daha import polyrep, skein, verify
 from daha.cli import main
 from daha.errors import RankMismatchError
 from daha.skein import act_word as skein_act_word
@@ -48,6 +49,10 @@ def sym_pair(exps) -> SkeinElement:
 
 
 class TestSymmetrize:
+    def test_averaging_map_lives_in_skein_under_every_import_path(self):
+        assert daha.symmetrize is verify.symmetrize is skein.symmetrize
+        assert verify.is_symmetrization is skein.is_symmetrization
+
     def test_constant(self):
         assert symmetrize(LaurentPoly.one(2)) == sym_pair((0, 0))
 
