@@ -132,14 +132,14 @@ def _cap_inputs(inputs: list, cap: int | None, seed: int) -> list:
 
 def _suite_plan(args: argparse.Namespace) -> list[tuple[str, int]]:
     """The checks ``--suite`` selects, in run order, each with its exponent
-    bound.  ``poly`` and ``skein`` are the relation suites, which default to
-    :func:`verify.default_relation_bound`; ``intertwiner`` and ``subrep``
-    default to 2.  ``--max-exp`` overrides every default."""
+    bound: 3 for the ``poly`` relation suite at kappa <= 3 and 2 for every
+    other check (the ``skein`` relation suite, ``intertwiner`` and
+    ``subrep``).  ``--max-exp`` overrides every default."""
     plan = []
     for suite, name in (("relations", "poly"), ("relations", "skein"),
                         ("intertwiner", "intertwiner"), ("subrep", "subrep")):
         if args.suite in (suite, "all"):
-            default = verify.default_relation_bound(args.kappa, name) if suite == "relations" else 2
+            default = 3 if name == "poly" and args.kappa <= 3 else 2
             plan.append((name, default if args.max_exp is None else args.max_exp))
     return plan
 

@@ -28,11 +28,13 @@ divisor part ``X_i * X_{i+1}^-1``.
 The number of variables (the rank) travels with every value and binary
 operations refuse to mix ranks; there is no broadcasting.
 
-A product whose right factor is one term with coefficient 1 (as in ``x_i``,
-the s_i^-1 of the polynomial representation and the certification of
-:func:`exact_divide`) only shifts the exponent vectors, injectively, so it is
-built in one pass with no term merging or cancelling.  Every other product
-takes the general loop.
+A product is built row by row: each term ``(shift, factor)`` of the right
+factor contributes a copy of the left factor scaled by ``factor`` with every
+exponent vector moved by ``shift``.  The shift is injective, so a row is
+canonical as built: the first row becomes the result's dict, and later rows
+merge into it through :func:`accumulate`.  A right factor of one term with
+coefficient 1 (as in ``x_i``, the s_i^-1 of the polynomial representation and
+the certification of :func:`exact_divide`) is that one row, with no scaling.
 """
 
 from __future__ import annotations
@@ -272,20 +274,14 @@ class LaurentPoly(SparseCombination):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_rank(other)
-        if len(other._terms) == 1:
-            ((shift, factor),) = other._terms.items()
-            if factor.is_one():
-                # A one-term right factor with coefficient 1 is an injective
-                # key shift, so nothing merges or cancels.
-                return _wrap(LaurentPoly, self._rank, {
-                    tuple(map(add, key, shift)): coeff for key, coeff in self._terms.items()
-                })
         data: dict[ExponentVector, ScalarPoly] = {}
-        for a_key, a_coeff in self._terms.items():
-            accumulate(data, (
-                (tuple(map(add, a_key, b_key)), b_coeff * a_coeff)
-                for b_key, b_coeff in other._terms.items()
-            ))
+        for shift, factor in other._terms.items():
+            scaled = self if factor.is_one() else self._scale(factor)
+            row = {tuple(map(add, key, shift)): coeff for key, coeff in scaled._terms.items()}
+            if data:
+                accumulate(data, row.items())
+            else:
+                data = row
         return _wrap(LaurentPoly, self._rank, data)
 
     __rmul__ = __mul__
@@ -375,8 +371,7 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
     for cls, alphas in groups.items():
         pair_sum = cls[idx]
         head, tail = cls[:idx], cls[idx + 1 :]
-        degrees = sorted(alphas)
-        low, high = degrees[0], degrees[-1]
+        low, high = min(alphas), max(alphas)
         beta = zero
         for j in range(high, low, -1):
             alpha = alphas.get(j)

@@ -15,10 +15,10 @@ construction and all operations are pure; the canonical form (no zero terms,
 unique keys) is maintained by every constructor and operation, so ``==`` is
 exact ring equality.
 
-A product with a one-term factor is a shift of the exponent triples and a
-scaling of the coefficients: no two terms can merge and, Z being an integral
-domain, none can vanish, so it is built in one pass without the
-accumulate-and-prune loop that general products need.
+A product with a one-term factor, an integer among them, is a shift of the
+exponent triples and a scaling of the coefficients: no two terms can merge
+and, Z being an integral domain, none can vanish, so it is built in one pass
+without the accumulate-and-prune loop that general products need.
 """
 
 from __future__ import annotations
@@ -130,10 +130,8 @@ class ScalarPoly:
 
     def __mul__(self, other: "ScalarPoly | int") -> "ScalarPoly":
         if isinstance(other, int):
-            if other == 0:
-                return _ZERO
-            return _wrap({key: coeff * other for key, coeff in self._terms.items()})
-        if not isinstance(other, ScalarPoly):
+            other = ScalarPoly.integer(other)
+        elif not isinstance(other, ScalarPoly):
             return NotImplemented
         if not self._terms or not other._terms:
             return _ZERO

@@ -184,12 +184,6 @@ def _check_inputs(kappa: int, cls: type, values, words=()) -> None:
             raise RankMismatchError(f"input rank {value._rank} does not match kappa {kappa}")
 
 
-def default_relation_bound(kappa: int, rep: str) -> int:
-    if rep == "poly":
-        return 3 if kappa <= 3 else 2
-    return 2
-
-
 def check_relations(
     kappa: int,
     rep: str,
@@ -228,8 +222,11 @@ def check_intertwiner(
     Each case decides the equality with :func:`is_symmetrization`, without
     the kappa!-fold copy of the polynomial image.  A failing case builds
     symmetrize(word . f) for its report, so the counterexample, and any
-    error symmetrize raises, are those of the plain comparison.
+    error symmetrize raises, are those of the plain comparison.  No words or
+    no monomials raise ``ValueError``, since no case would run.
     """
+    if not words or not monomials:
+        raise ValueError("check_intertwiner needs at least one word and one monomial")
     _check_inputs(kappa, LaurentPoly, monomials, words)
     tally = _Tally()
     for word in words:
@@ -251,10 +248,12 @@ def check_subrep_closure(
     the symmetrized subspace: each image must be the symmetrization
     (:func:`is_symmetrization`) of the polynomial g that holds one of its
     coefficients at each of its exponent vectors.  The i-th word acts on the
-    i-th monomial, so the two lists must have the same length."""
+    i-th monomial, so the two lists must have the same nonzero length."""
     if len(words) != len(monomials):
         raise ValueError(
             f"{len(words)} words but {len(monomials)} monomials; the subrep check pairs them")
+    if not words:
+        raise ValueError("check_subrep_closure needs at least one (word, monomial) pair")
     _check_inputs(kappa, LaurentPoly, monomials, words)
     tally = _Tally()
     for word, f in zip(words, monomials):
@@ -266,7 +265,10 @@ def check_subrep_closure(
 
 def check_averaging_eigenvalue(kappa: int) -> CheckReport:
     """For every permutation and braid index, s_i applied to
-    (1, sigma) + (1, t_i sigma) equals s times that sum once d = s."""
+    (1, sigma) + (1, t_i sigma) equals s times that sum once d = s.  Below
+    kappa 2 there is no braid letter, so ``ValueError`` is raised."""
+    if kappa < 2:
+        raise ValueError(f"the averaging eigenvalue check needs kappa >= 2, got {kappa}")
     tally = _Tally()
     zero_exps = (0,) * kappa
     for perm in all_permutations(kappa):

