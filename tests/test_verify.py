@@ -367,6 +367,13 @@ class TestCheckIntertwiner:
         with pytest.raises(TypeError, match="expected a LaurentPoly input, got SkeinElement"):
             check_intertwiner(2, single_generator_words(2), [SkeinElement.basis(2, [1, 0])])
 
+    @pytest.mark.parametrize("words, monomials", [
+        ([], [LaurentPoly.one(2)]), (single_generator_words(2), []), ([], [])])
+    def test_no_words_or_no_monomials_raise(self, words, monomials):
+        # A report of no cases would read as a pass with nothing checked.
+        with pytest.raises(ValueError, match="at least one word and one monomial"):
+            check_intertwiner(2, words, monomials)
+
 
 def test_preconditions_check_words_then_each_input_class_before_rank():
     # The input is of the other module and of another rank.
@@ -461,6 +468,10 @@ class TestCheckSubrep:
         with pytest.raises(ValueError, match=f"{num_words} words but {num_monomials} monomials"):
             check_subrep_closure(2, words, monomials)
 
+    def test_no_pairs_raise(self):
+        with pytest.raises(ValueError, match="at least one"):
+            check_subrep_closure(2, [], [])
+
 
 class TestAveragingEigenvalue:
     def test_all_small_ranks(self):
@@ -470,6 +481,10 @@ class TestAveragingEigenvalue:
             import math
 
             assert report.cases == math.factorial(kappa) * (kappa - 1)
+
+    def test_rank_without_a_braid_letter_raises(self):
+        with pytest.raises(ValueError, match="needs kappa >= 2, got 1"):
+            check_averaging_eigenvalue(1)
 
 
 class TestDeterminism:
