@@ -113,13 +113,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     elem_text = _read_arg(args.elem, args.elem_file)
     word = parse_word(word_text, args.kappa)
     if args.rep == "poly":
-        element = parse_laurent(elem_text, args.kappa)
-        result = polyrep.act_word(word, element)
+        result = polyrep.act_word(word, parse_laurent(elem_text, args.kappa))
+        if args.d_eq_s:
+            result = result.substitute_d_eq_s()
     else:
         element = parse_skein(elem_text, args.kappa)
-        result = skein_mod.act_word(word, element)
-    if args.d_eq_s:
-        result = result.substitute_d_eq_s()
+        if args.d_eq_s:
+            element = element.substitute_d_eq_s()
+        result = skein_mod.act_word(word, element, d_eq_s=args.d_eq_s)
     print(result)
     return 0
 

@@ -57,6 +57,13 @@ basis pairs, sharing storage, arithmetic and printing with the Laurent
 polynomials, and :func:`act_word` runs the shared word dispatcher
 :func:`~daha.words.apply_word` over this module's generator actions.
 
+With ``d_eq_s=True`` every action runs at d = s, where the paper's torus
+statement lives, by setting d = s in the two-case rule alone.  That is exact:
+setting d = s is a ring homomorphism phi, every generator acts linearly over
+the coefficients, and d enters only through the rule's d^±1 (hbar and the
+rotations' c-powers carry none).  So phi(act(v)) is the d = s action on
+phi(v), which for a d-free v, such as symmetrize(f), is v itself.
+
 :func:`symmetrize` is the averaging map from Laurent polynomials to the
 skein module,
 
@@ -285,8 +292,8 @@ def push_sigma_past_monomial(i: int, exps: Sequence[int]) -> tuple[LaurentPoly, 
     return braid_kernel(LaurentPoly.monomial(len(exps), exps), i)
 
 
-def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
-    """Apply the braid letter s_i to a general element.
+def act_sigma(i: int, v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
+    """Apply the braid letter s_i to a general element (at d = s if ``d_eq_s``).
 
     Terms are grouped by exponent vector, so each distinct monomial is pushed
     once: the terms c_sigma (a^n, sigma) map to
@@ -301,7 +308,8 @@ def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
     (swap_i n, sigma') of the terms of s_i(1, sigma), with coefficient
     c_sigma times the two-case rule's.  Terms merge, and may cancel, only
     where the braided half meets keys already placed and where the halves
-    of different exponent groups meet.
+    of different exponent groups meet.  Each permutation's rule is built once
+    per call, and at d = s it is substituted there, before any product.
     """
     kappa = v._rank
     i = check_index("braid index", i, kappa - 1)
@@ -310,6 +318,7 @@ def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
         by_exps.setdefault(exps, []).append((perm, coeff))
     zero_exps = (0,) * kappa
     data: dict[BasisKey, ScalarPoly] = {}
+    rules: dict[Permutation, dict[BasisKey, ScalarPoly]] = {}
     for exps, pairs in by_exps.items():
         f, g = push_sigma_past_monomial(i, exps)
         (swapped_exps,) = f._terms
@@ -324,16 +333,20 @@ def act_sigma(i: int, v: SkeinElement) -> SkeinElement:
             else:
                 data = product
         for perm, coeff in pairs:
+            rule = rules.get(perm)
+            if rule is None:
+                rule = act_sigma_base(i, perm)
+                rule = rules[perm] = (rule.substitute_d_eq_s() if d_eq_s else rule)._terms
             accumulate(data, (
                 ((swapped_exps, base_perm), base_coeff * coeff)
-                for (_, base_perm), base_coeff in act_sigma_base(i, perm)._terms.items()
+                for (_, base_perm), base_coeff in rule.items()
             ))
     return _wrap(SkeinElement, kappa, data)
 
 
-def act_sigma_inv(i: int, v: SkeinElement) -> SkeinElement:
+def act_sigma_inv(i: int, v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
     """Apply s_i^-1 = s_i - hbar."""
-    return act_sigma(i, v) - v.scale(hbar())
+    return act_sigma(i, v, d_eq_s) - v.scale(hbar())
 
 
 def _rotate(v: SkeinElement) -> SkeinElement:
@@ -354,19 +367,23 @@ def _rotate_inverse(v: SkeinElement) -> SkeinElement:
     })
 
 
-def act_y1(v: SkeinElement) -> SkeinElement:
+def act_y1(v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
     """Apply y_1 (:func:`~daha.words.apply_y1`)."""
-    return apply_y1(v, _rotate, act_sigma_inv)
+    return apply_y1(v, _rotate, partial(act_sigma_inv, d_eq_s=d_eq_s))
 
 
-def act_y1_inv(v: SkeinElement) -> SkeinElement:
+def act_y1_inv(v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
     """Apply y_1^-1 (:func:`~daha.words.apply_y1_inv`)."""
-    return apply_y1_inv(v, _rotate_inverse, act_sigma)
+    return apply_y1_inv(v, _rotate_inverse, partial(act_sigma, d_eq_s=d_eq_s))
 
 
-def act_word(word: GeneratorWord, v: SkeinElement) -> SkeinElement:
-    """Act by a generator word, rightmost letter first (:func:`~daha.words.apply_word`)."""
-    return apply_word(word, v, (act_x, act_sigma, act_sigma_inv, act_y1, act_y1_inv))
+def act_word(word: GeneratorWord, v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
+    """Act by a generator word, rightmost letter first (:func:`~daha.words.apply_word`),
+    at d = s if ``d_eq_s``."""
+    actions = (act_sigma, act_sigma_inv, act_y1, act_y1_inv)
+    if d_eq_s:
+        actions = tuple(partial(act, d_eq_s=True) for act in actions)
+    return apply_word(word, v, (act_x, *actions))
 
 
 # -- the averaging map -----------------------------------------------------------

@@ -6,12 +6,12 @@ The three checks are finite, exact (zero-tolerance) test suites:
 * :func:`check_relations` -- the nine defining relations as operator
   identities, in either representation, on a grid of inputs;
 * :func:`check_intertwiner` -- symmetrize(poly action) equals the skein
-  action of the same word on the symmetrized input, after setting d = s.
+  action at d = s of the same word on the symmetrized input.
   The left side is never built for a passing case:
   :func:`is_symmetrization` compares the skein side with the polynomial
   image term by term, and symmetrize(image) is built only as the
   counterexample's left side;
-* :func:`check_subrep_closure` -- the d = s skein action maps symmetrized
+* :func:`check_subrep_closure` -- the skein action at d = s maps symmetrized
   elements back into the symmetrized subspace.  An image lies there exactly
   when it is the symmetrization of the polynomial that takes one of its
   coefficients at each of its exponent vectors, so
@@ -222,9 +222,11 @@ def check_intertwiner(
     Each case decides the equality with :func:`is_symmetrization`, without
     the kappa!-fold copy of the polynomial image.  A failing case builds
     symmetrize(word . f) for its report, so the counterexample, and any
-    error symmetrize raises, are those of the plain comparison.  No words or
-    no monomials raise ``ValueError``, since no case would run.
+    error symmetrize raises, are those of the plain comparison.  Words and
+    monomials may be any iterables; no words or no monomials raise
+    ``ValueError``, since no case would run.
     """
+    words, monomials = list(words), list(monomials)
     if not words or not monomials:
         raise ValueError("check_intertwiner needs at least one word and one monomial")
     _check_inputs(kappa, LaurentPoly, monomials, words)
@@ -232,7 +234,7 @@ def check_intertwiner(
     for word in words:
         for f in monomials:
             image = polyrep.act_word(word, f)
-            rhs = skein_mod.act_word(word, symmetrize(f)).substitute_d_eq_s()
+            rhs = skein_mod.act_word(word, symmetrize(f), d_eq_s=True)
             ok = is_symmetrization(rhs, image)
             tally.record(ok, str(word), f, None if ok else symmetrize(image), rhs)
     return tally.report("intertwiner", kappa, seed)
@@ -257,7 +259,7 @@ def check_subrep_closure(
     _check_inputs(kappa, LaurentPoly, monomials, words)
     tally = _Tally()
     for word, f in zip(words, monomials):
-        image = skein_mod.act_word(word, symmetrize(f)).substitute_d_eq_s()
+        image = skein_mod.act_word(word, symmetrize(f), d_eq_s=True)
         g = LaurentPoly(kappa, {exps: c for (exps, _), c in image.terms.items()})
         tally.record(is_symmetrization(image, g), str(word), f, image, "<permutation-uniform>")
     return tally.report("subrep", kappa, seed)
@@ -276,7 +278,7 @@ def check_averaging_eigenvalue(kappa: int) -> CheckReport:
             pair = SkeinElement.basis(kappa, zero_exps, perm) + SkeinElement.basis(
                 kappa, zero_exps, perm.precompose_swap(i)
             )
-            lhs = skein_mod.act_sigma(i, pair).substitute_d_eq_s()
+            lhs = skein_mod.act_sigma(i, pair, d_eq_s=True)
             rhs = pair.scale(s_power(1))
             tally.record(lhs == rhs, f"s{i}", pair, lhs, rhs)
     return tally.report("averaging-eigenvalue", kappa)

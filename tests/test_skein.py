@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from daha import (
+    GeneratorLetter,
     GeneratorWord,
     LaurentPoly,
     Permutation,
@@ -44,7 +45,7 @@ from daha.skein import (
     act_y1,
     act_y1_inv,
 )
-from daha.verify import symmetrize
+from daha.verify import default_alphabet, symmetrize
 
 from conftest import lopsided_pairs, permutations, shared_coefficient_runs, skein_elements
 from product_oracle import combination_sum, d_eq_s
@@ -621,6 +622,66 @@ class TestWordAction:
                         SkeinElement.zero(kappa),
                     )
                     assert lhs == rhs, relation.label
+
+
+def d_eq_s_words(kappa: int) -> list[GeneratorWord]:
+    """Every y_i^±1 alone, then seeded words of 1..3 letters over
+    :func:`default_alphabet` and every y_i^±1."""
+    ys = [GeneratorLetter("y", i, sign) for i in range(1, kappa + 1) for sign in (1, -1)]
+    alphabet = default_alphabet(kappa) + ys
+    rng = random.Random(kappa)
+    return [GeneratorWord(kappa, [y]) for y in ys] + [
+        GeneratorWord(kappa, [rng.choice(alphabet) for _ in range(rng.randint(1, 3))])
+        for _ in range(6)
+    ]
+
+
+def d_free_inputs(kappa: int) -> list[SkeinElement]:
+    """Two seeded basis pairs and two symmetrized polynomials, none with d."""
+    rng = random.Random(10 + kappa)
+    perms = list(all_permutations(kappa))
+
+    def exps():
+        return tuple(rng.randint(-1, 1) for _ in range(kappa))
+
+    pairs = [SkeinElement.basis(kappa, exps(), rng.choice(perms)) for _ in range(2)]
+    return pairs + [symmetrize(LaurentPoly(kappa, [(exps(), s_power(1)), (exps(), c_power(-2))])),
+                    symmetrize(LaurentPoly.monomial(kappa, exps()))]
+
+
+class TestActionAtDEqS:
+    """The d = s action against the generic action followed by the
+    substitution, the independent slow path."""
+
+    @pytest.mark.parametrize("kappa", [2, 3, 4])
+    def test_d_free_inputs_match_the_substituted_generic_action(self, kappa):
+        for word in d_eq_s_words(kappa):
+            for v in d_free_inputs(kappa):
+                assert act_word(word, v, d_eq_s=True) == act_word(word, v).substitute_d_eq_s(), word
+
+    @pytest.mark.parametrize("kappa", [2, 3, 4])
+    def test_inputs_with_d_match_once_substituted(self, kappa):
+        pair, other_pair, sym, other_sym = d_free_inputs(kappa)
+        inputs = [pair.scale(d_power(1)) + sym, other_pair + other_sym.scale(s_power(1) - d_power(-1))]
+        for word in d_eq_s_words(kappa):
+            for v in inputs:
+                got = act_word(word, v, d_eq_s=True).substitute_d_eq_s()
+                assert got == act_word(word, v).substitute_d_eq_s(), word
+
+    @pytest.mark.parametrize("d_eq_s", [False, True])
+    def test_the_rule_is_built_once_per_permutation(self, monkeypatch, d_eq_s):
+        calls = []
+
+        def counting(i, perm):
+            calls.append(perm)
+            return act_sigma_base(i, perm)
+
+        monkeypatch.setattr(skein_module, "act_sigma_base", counting)
+        v = symmetrize(LaurentPoly(3, [((2, -1, 0), 1), ((0, 0, 1), 1), ((0, 0, 0), 1)]))
+        for i in (1, 2):
+            calls.clear()
+            act_sigma(i, v, d_eq_s=d_eq_s)
+            assert sorted(calls) == sorted(all_permutations(3))
 
 
 class TestSubstitution:

@@ -186,7 +186,7 @@ def subrep_decision(image: SkeinElement) -> bool:
     """Whether :func:`check_subrep_closure` passes a case whose d = s image
     is ``image``: the skein action is replaced by one that returns it."""
     kappa = image.kappa
-    with mock.patch.object(skein, "act_word", lambda word, v: image):
+    with mock.patch.object(skein, "act_word", lambda word, v, d_eq_s: image):
         report = check_subrep_closure(kappa, [GeneratorWord(kappa)], [LaurentPoly.one(kappa)])
     assert report.cases == 1
     if report.failures:
@@ -373,6 +373,20 @@ class TestCheckIntertwiner:
         # A report of no cases would read as a pass with nothing checked.
         with pytest.raises(ValueError, match="at least one word and one monomial"):
             check_intertwiner(2, words, monomials)
+
+    @pytest.mark.parametrize("as_iterator", ["words", "monomials"])
+    def test_an_iterator_gives_the_report_of_its_list(self, as_iterator):
+        # Checking the ranks must not spend an iterator before the cases run.
+        lists = {"words": single_generator_words(2), "monomials": monomial_grid(2, 1)}
+        expected = check_intertwiner(2, **lists)
+        assert expected.cases == len(lists["words"]) * len(lists["monomials"])
+        assert check_intertwiner(2, **{**lists, as_iterator: iter(lists[as_iterator])}) == expected
+
+    @pytest.mark.parametrize("as_iterator", ["words", "monomials"])
+    def test_an_empty_iterator_raises(self, as_iterator):
+        lists = {"words": single_generator_words(2), "monomials": [LaurentPoly.one(2)]}
+        with pytest.raises(ValueError, match="at least one word and one monomial"):
+            check_intertwiner(2, **{**lists, as_iterator: iter([])})
 
 
 def test_preconditions_check_words_then_each_input_class_before_rank():
