@@ -62,7 +62,7 @@ statement lives, by setting d = s in the two-case rule alone.  That is exact:
 setting d = s is a ring homomorphism phi, every generator acts linearly over
 the coefficients, and d enters only through the rule's d^±1 (hbar and the
 rotations' c-powers carry none).  So phi(act(v)) is the d = s action on
-phi(v), which for a d-free v, such as symmetrize(f), is v itself.
+phi(v), and phi(v) is v for a d-free v, such as symmetrize(f).
 
 :func:`symmetrize` is the averaging map from Laurent polynomials to the
 skein module,

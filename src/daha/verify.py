@@ -213,8 +213,8 @@ def check_relations(
 
 def check_intertwiner(
     kappa: int,
-    words: list[GeneratorWord],
-    monomials: list[LaurentPoly],
+    words: Iterable[GeneratorWord],
+    monomials: Iterable[LaurentPoly],
     seed: int | None = None,
 ) -> CheckReport:
     """Check symmetrize(word . f) == (word . symmetrize(f)) at d = s.
