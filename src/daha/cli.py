@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group_e = p_eval.add_mutually_exclusive_group(required=True)
     group_e.add_argument("--elem", help="element text, e.g. 'X1' or '(a1^2*a2^-1,[2 1])'")
     group_e.add_argument("--elem-file", help="file containing the element")
-    p_eval.add_argument("--d-eq-s", action="store_true", help="substitute d = s before printing")
+    p_eval.add_argument("--d-eq-s", action="store_true", help="set d = s in the element and act at d = s")
 
     p_check = sub.add_parser("check", help="run verification suites")
     p_check.add_argument("--suite", choices=("relations", "intertwiner", "subrep", "all"),
@@ -112,16 +112,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     word_text = _read_arg(args.word, args.word_file)
     elem_text = _read_arg(args.elem, args.elem_file)
     word = parse_word(word_text, args.kappa)
-    if args.rep == "poly":
-        result = polyrep.act_word(word, parse_laurent(elem_text, args.kappa))
-        if args.d_eq_s:
-            result = result.substitute_d_eq_s()
-    else:
-        element = parse_skein(elem_text, args.kappa)
-        if args.d_eq_s:
-            element = element.substitute_d_eq_s()
-        result = skein_mod.act_word(word, element, d_eq_s=args.d_eq_s)
-    print(result)
+    poly = args.rep == "poly"
+    element = (parse_laurent if poly else parse_skein)(elem_text, args.kappa)
+    if args.d_eq_s:
+        element = element.substitute_d_eq_s()
+    print(polyrep.act_word(word, element) if poly
+          else skein_mod.act_word(word, element, d_eq_s=args.d_eq_s))
     return 0
 
 

@@ -18,10 +18,11 @@ The three checks are finite, exact (zero-tolerance) test suites:
   :func:`is_symmetrization` decides membership too.
 
 Each check walks every case, never stops early, counts failures, and keeps
-the first counterexample, so a systematic error is visible in full.  A word
-or input of another rank than the check's kappa raises
+the first counterexample, so a systematic error is visible in full.  Words
+and inputs may be any iterables.  Before any case runs, a word (relation
+sides included) or input of another rank than the check's kappa raises
 :class:`~daha.errors.RankMismatchError`, and an input of the other module
-:class:`TypeError`, before any case runs.
+:class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -105,7 +106,9 @@ class _Tally:
 
 
 def monomial_grid(rank: int, bound: int) -> list[LaurentPoly]:
-    """All monomials with exponents in [-bound, bound], in a fixed order."""
+    """All monomials with exponents in [-bound, bound] (bound >= 0), in a fixed order."""
+    if bound < 0:
+        raise ValueError(f"the exponent bound must be >= 0, got {bound}")
     return [
         LaurentPoly.monomial(rank, exps)
         for exps in product(range(-bound, bound + 1), repeat=rank)
@@ -113,7 +116,9 @@ def monomial_grid(rank: int, bound: int) -> list[LaurentPoly]:
 
 
 def basis_grid(kappa: int, bound: int) -> list[SkeinElement]:
-    """All basis pairs with exponents in [-bound, bound], all permutations."""
+    """All basis pairs with exponents in [-bound, bound] (bound >= 0), all permutations."""
+    if bound < 0:
+        raise ValueError(f"the exponent bound must be >= 0, got {bound}")
     return [
         SkeinElement.basis(kappa, exps, perm)
         for exps in product(range(-bound, bound + 1), repeat=kappa)
@@ -152,15 +157,6 @@ def random_words(kappa: int, count: int, max_len: int, seed: int) -> list[Genera
 # -- checks ----------------------------------------------------------------------
 
 
-def _act(rep: str):
-    """The word action of the representation rep and the class of its values."""
-    if rep == "poly":
-        return polyrep.act_word, LaurentPoly
-    if rep == "skein":
-        return skein_mod.act_word, SkeinElement
-    raise ValueError(f"unknown representation {rep!r}; expected 'poly' or 'skein'")
-
-
 def _apply_side(side, value, act):
     result = None
     for coeff, word in side:
@@ -169,11 +165,13 @@ def _apply_side(side, value, act):
     return result
 
 
-def _check_inputs(kappa: int, cls: type, values, words=()) -> None:
-    """Raise before any case runs, so a report never names a kappa it did not
-    check: :class:`RankMismatchError` at the first word of another kappa,
-    then, input by input, :class:`TypeError` for a class other than ``cls``
-    and :class:`RankMismatchError` for another rank."""
+def _check_inputs(kappa: int, cls: type, values: Iterable, words: Iterable = ()) -> tuple[list, list]:
+    """List ``values`` and ``words`` once, check them and return both lists.
+    So that a report never names a kappa it did not check, this raises
+    :class:`RankMismatchError` at the first word of another kappa, then,
+    input by input, :class:`TypeError` for a class other than ``cls`` and
+    :class:`RankMismatchError` for another rank."""
+    values, words = list(values), list(words)
     for word in words:
         if word.kappa != kappa:
             raise RankMismatchError(f"word kappa {word.kappa} does not match kappa {kappa}")
@@ -182,24 +180,28 @@ def _check_inputs(kappa: int, cls: type, values, words=()) -> None:
             raise TypeError(f"expected a {cls.__name__} input, got {type(value).__name__}")
         if value._rank != kappa:
             raise RankMismatchError(f"input rank {value._rank} does not match kappa {kappa}")
+    return values, words
 
 
 def check_relations(
     kappa: int,
     rep: str,
-    inputs: list,
+    inputs: Iterable,
     relations: Iterable[RelationPair] | None = None,
 ) -> list[CheckReport]:
     """Evaluate both sides of every defining relation on every input through
     the chosen representation ('poly' or 'skein'); exact comparison.
-    ``relations`` may be any iterable; ``None`` checks the full table, and an
-    empty one raises ``ValueError``, since an empty list of reports would read
-    as a pass."""
-    act, cls = _act(rep)
-    _check_inputs(kappa, cls, inputs)
+    Inputs and relations may be any iterables, and every word of both sides
+    is checked before any case runs.  ``None`` checks the full table; no
+    relations raise ``ValueError``, as no reports would read as a pass."""
+    if rep not in ("poly", "skein"):
+        raise ValueError(f"unknown representation {rep!r}; expected 'poly' or 'skein'")
+    act, cls = (polyrep.act_word, LaurentPoly) if rep == "poly" else (skein_mod.act_word, SkeinElement)
     relations = relation_table(kappa) if relations is None else list(relations)
     if not relations:
         raise ValueError("check_relations needs at least one relation (None checks the full table)")
+    inputs, _ = _check_inputs(kappa, cls, inputs, (
+        word for relation in relations for side in (relation.lhs, relation.rhs) for _, word in side))
     reports = []
     for relation in relations:
         tally = _Tally()
@@ -226,10 +228,9 @@ def check_intertwiner(
     monomials may be any iterables; no words or no monomials raise
     ``ValueError``, since no case would run.
     """
-    words, monomials = list(words), list(monomials)
+    monomials, words = _check_inputs(kappa, LaurentPoly, monomials, words)
     if not words or not monomials:
         raise ValueError("check_intertwiner needs at least one word and one monomial")
-    _check_inputs(kappa, LaurentPoly, monomials, words)
     tally = _Tally()
     for word in words:
         for f in monomials:
@@ -242,21 +243,22 @@ def check_intertwiner(
 
 def check_subrep_closure(
     kappa: int,
-    words: list[GeneratorWord],
-    monomials: list[LaurentPoly],
+    words: Iterable[GeneratorWord],
+    monomials: Iterable[LaurentPoly],
     seed: int | None = None,
 ) -> CheckReport:
     """Check that the d = s skein action keeps symmetrized elements inside
     the symmetrized subspace: each image must be the symmetrization
     (:func:`is_symmetrization`) of the polynomial g that holds one of its
     coefficients at each of its exponent vectors.  The i-th word acts on the
-    i-th monomial, so the two lists must have the same nonzero length."""
+    i-th monomial.  Words and monomials may be any iterables, checked before
+    any case runs, and they must have the same nonzero length."""
+    monomials, words = _check_inputs(kappa, LaurentPoly, monomials, words)
     if len(words) != len(monomials):
         raise ValueError(
             f"{len(words)} words but {len(monomials)} monomials; the subrep check pairs them")
     if not words:
         raise ValueError("check_subrep_closure needs at least one (word, monomial) pair")
-    _check_inputs(kappa, LaurentPoly, monomials, words)
     tally = _Tally()
     for word, f in zip(words, monomials):
         image = skein_mod.act_word(word, symmetrize(f), d_eq_s=True)

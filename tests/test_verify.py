@@ -309,13 +309,32 @@ class TestCheckRelations:
         from_iterator = check_relations(2, "poly", inputs, relations=iter(relation_table(2)))
         assert from_iterator == check_relations(2, "poly", inputs)
 
+    def test_a_one_shot_generator_of_inputs_gives_the_reports_of_its_list(self):
+        # Checking the inputs must not spend them before the cases run.
+        inputs = monomial_grid(2, 1)
+        expected = check_relations(2, "poly", inputs)
+        assert all(r.cases == len(inputs) for r in expected)
+        assert check_relations(2, "poly", (value for value in inputs)) == expected
+
+    @pytest.mark.parametrize("rep, grid", [("poly", monomial_grid), ("skein", basis_grid)])
+    @pytest.mark.parametrize("with_inputs", [True, False])
+    def test_relation_words_of_another_kappa_raise_before_any_case(
+            self, rep, grid, with_inputs, monkeypatch):
+        module = polyrep if rep == "poly" else skein
+        calls = []
+        monkeypatch.setattr(module, "act_word", lambda *args, **kwargs: calls.append(args))
+        inputs = grid(2, 0) if with_inputs else []
+        with pytest.raises(RankMismatchError, match="word kappa 3 does not match kappa 2"):
+            check_relations(2, rep, inputs, relation_table(3))
+        assert calls == []
+
     def test_unknown_representation(self):
         with pytest.raises(ValueError):
             check_relations(2, "matrix", [])
 
     def test_input_of_another_rank_raises(self):
         with pytest.raises(RankMismatchError, match="input rank 2 does not match kappa 5"):
-            check_relations(5, "poly", monomial_grid(2, 0), relations=relation_table(2))
+            check_relations(5, "poly", monomial_grid(2, 0), relations=relation_table(5))
 
     @pytest.mark.parametrize("kappa", [2, 3])
     def test_skein_check_rejects_a_polynomial_input(self, kappa):
@@ -486,6 +505,24 @@ class TestCheckSubrep:
         with pytest.raises(ValueError, match="at least one"):
             check_subrep_closure(2, [], [])
 
+    @pytest.mark.parametrize("one_shot", [iter, lambda items: (item for item in items)])
+    @pytest.mark.parametrize("as_one_shot", [("words",), ("monomials",), ("words", "monomials")])
+    def test_iterators_give_the_report_of_their_lists(self, one_shot, as_one_shot):
+        words = random_words(2, 4, 3, seed=2)
+        lists = {"words": words, "monomials": [LaurentPoly.monomial(2, [1, -1])] * len(words)}
+        expected = check_subrep_closure(2, **lists, seed=2)
+        assert expected.passed and expected.cases == len(words)
+        given = {name: one_shot(items) if name in as_one_shot else items
+                 for name, items in lists.items()}
+        assert check_subrep_closure(2, **given, seed=2) == expected
+
+    @pytest.mark.parametrize("num_words, num_monomials", [(3, 1), (1, 2)])
+    def test_iterators_of_different_lengths_raise(self, num_words, num_monomials):
+        words = iter(single_generator_words(2)[:num_words])
+        monomials = iter([LaurentPoly.monomial(2, [1, 0])] * num_monomials)
+        with pytest.raises(ValueError, match=f"{num_words} words but {num_monomials} monomials"):
+            check_subrep_closure(2, words, monomials)
+
 
 class TestAveragingEigenvalue:
     def test_all_small_ranks(self):
@@ -499,6 +536,14 @@ class TestAveragingEigenvalue:
     def test_rank_without_a_braid_letter_raises(self):
         with pytest.raises(ValueError, match="needs kappa >= 2, got 1"):
             check_averaging_eigenvalue(1)
+
+
+class TestInputGrids:
+    @pytest.mark.parametrize("grid", [monomial_grid, basis_grid])
+    def test_a_negative_bound_raises(self, grid):
+        # Its empty grid would let a check pass with no case.
+        with pytest.raises(ValueError, match="exponent bound must be >= 0, got -1"):
+            grid(2, -1)
 
 
 class TestDeterminism:
