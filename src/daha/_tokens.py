@@ -4,17 +4,23 @@ All the grammars in this package (coefficient scalars, Laurent polynomials,
 skein elements, generator words) draw from the same token alphabet: unsigned
 integers, single-letter names with an optional numeric index (``s``, ``c``,
 ``d``, ``X1``, ``a2``, ``y1``), and the punctuation ``^ * + - ( ) [ ] ,``.
-Whitespace separates tokens and is otherwise ignored.
+Whitespace separates tokens and is otherwise ignored.  :data:`_TOKEN` is
+the token grammar: :func:`tokenize` reads the text with its ``finditer``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, NoReturn
 
 from .errors import ParseError
 
-_PUNCT = set("^*+-()[],")
+# The token grammar: after optional whitespace, an integer, a name (one
+# character that ``[^\W\d_]`` matches and ``str.isalpha`` accepts, then its
+# index), one punctuation character, or any other character, which is refused.
+# ``\d`` and ``\s`` are ``str.isdecimal`` and ``str.isspace``.
+_TOKEN = re.compile(r"\s*((\d+)|([^\W\d_])(\d*)|[-^*+()\[\],]|(\S))")
 
 # Most decimal digits in an integer token or a name index, checked before
 # ``int()`` runs.  640 is the smallest nonzero ``python -X int_max_str_digits``,
@@ -42,45 +48,21 @@ class Token:
     index: int | None = None   # name tokens only: trailing digits, if any
 
 
-def _digits_end(text: str, i: int) -> int:
-    """End of the run of decimal digits that starts at i, within the cap."""
-    j = i
-    while j < len(text) and text[j].isdecimal():
-        j += 1
-    if j - i > MAX_INT_DIGITS:
-        raise ParseError(f"integer longer than {MAX_INT_DIGITS} digits", i)
-    return j
-
-
 def tokenize(text: str) -> list[Token]:
     if len(text) > MAX_TEXT_CHARS:
         raise ParseError(f"text longer than {MAX_TEXT_CHARS} characters", MAX_TEXT_CHARS)
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = _digits_end(text, i)
-            tokens.append(Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = _digits_end(text, i + 1)
-            digits = text[i + 1 : j]
-            tokens.append(
-                Token("name", text[i:j], i, letter=ch, index=int(digits) if digits else None)
-            )
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", n))
+    for match in _TOKEN.finditer(text):
+        tok, integer, letter, index, other = match.groups()
+        pos = match.start(1)
+        if other or (letter and not letter.isalpha()):
+            raise ParseError(f"unexpected character {tok[0]!r}", pos)
+        digits = integer or index or ""
+        if len(digits) > MAX_INT_DIGITS:
+            raise ParseError(f"integer longer than {MAX_INT_DIGITS} digits", match.end(1) - len(digits))
+        kind = "int" if integer else "name" if letter else tok
+        tokens.append(Token(kind, tok, pos, letter, int(index) if index else None))
+    tokens.append(Token("end", "", len(text)))
     return tokens
 
 

@@ -53,7 +53,8 @@ class Counterexample:
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one check suite: case/failure counts plus the first
-    counterexample, if any.  Integer fields pass through ``operator.index``."""
+    counterexample, if any.  Integer fields pass through ``operator.index``,
+    and kappa must be at least 1."""
 
     label: str
     kappa: int
@@ -65,6 +66,8 @@ class CheckReport:
     def __post_init__(self):
         for name in ("kappa", "cases", "failures"):
             object.__setattr__(self, name, index(getattr(self, name)))
+        if self.kappa < 1:
+            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
         if self.seed is not None:
             object.__setattr__(self, "seed", index(self.seed))
         if not isinstance(self.counterexample, (Counterexample, type(None))):
@@ -145,7 +148,11 @@ def single_generator_words(kappa: int) -> list[GeneratorWord]:
 
 
 def random_words(kappa: int, count: int, max_len: int, seed: int) -> list[GeneratorWord]:
-    """Seeded words of 1..max_len letters drawn from :func:`default_alphabet`."""
+    """``count`` seeded words of 1..max_len letters drawn from
+    :func:`default_alphabet`; kappa < 1, count < 0 or max_len < 1 raise ``ValueError``."""
+    for name, value, least in (("kappa", kappa, 1), ("count", count, 0), ("max_len", max_len, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     rng = random.Random(seed)
     alphabet = default_alphabet(kappa)
     return [
@@ -271,6 +278,7 @@ def check_averaging_eigenvalue(kappa: int) -> CheckReport:
     """For every permutation and braid index, s_i applied to
     (1, sigma) + (1, t_i sigma) equals s times that sum once d = s.  Below
     kappa 2 there is no braid letter, so ``ValueError`` is raised."""
+    kappa = index(kappa)
     if kappa < 2:
         raise ValueError(f"the averaging eigenvalue check needs kappa >= 2, got {kappa}")
     tally = _Tally()

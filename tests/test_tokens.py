@@ -86,3 +86,30 @@ def test_text_over_the_length_cap_is_rejected_before_any_token(monkeypatch):
     with pytest.raises(ParseError, match=f"longer than {MAX_TEXT_CHARS} characters") as info:
         tokenize("+" * (MAX_TEXT_CHARS + 1))
     assert info.value.pos == MAX_TEXT_CHARS
+
+
+@pytest.mark.parametrize("text, expected", [
+    # Unicode whitespace between tokens and after the last one.
+    ("X1　+\x85a2\x1c", [("name", "X1", 0), ("+", "+", 3), ("name", "a2", 5), ("end", "", 8)]),
+    ("\x1c(a1,[1 2])　\x85", [
+        ("(", "(", 1), ("name", "a1", 2), (",", ",", 4), ("[", "[", 5), ("int", "1", 6),
+        ("int", "2", 8), ("]", "]", 9), (")", ")", 10), ("end", "", 13)]),
+    # A Greek name and a titlecase-letter name.
+    ("α2*ǅ", [("name", "α2", 0), ("*", "*", 2), ("name", "ǅ", 3), ("end", "", 4)]),
+    # An Arabic-Indic index.
+    ("X٣^-1", [("name", "X٣", 0), ("^", "^", 2), ("-", "-", 3), ("int", "1", 4), ("end", "", 5)]),
+    # Refused characters, at their positions.
+    ("s_1", 1),
+    ("X1@2", 2),
+    ("X1́", 2),
+    ("X1½", 2),
+    ("X2Ⅻ", 2),
+], ids=["spaces-between", "spaces-around", "greek-titlecase", "arabic-indic-index",
+        "underscore", "at-sign", "combining-accent", "vulgar-fraction", "roman-numeral"])
+def test_scanner_edges(text, expected):
+    if isinstance(expected, int):
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            tokenize(text)
+        assert info.value.pos == expected
+    else:
+        assert [(t.kind, t.text, t.pos) for t in tokenize(text)] == expected

@@ -266,6 +266,11 @@ class TestCheckReport:
         assert (report.kappa, report.cases, report.seed) == (2, 2, 2)
         assert type(report.kappa) is type(report.cases) is type(report.seed) is int
 
+    @pytest.mark.parametrize("kappa", [0, -5])
+    def test_kappa_below_one_raises(self, kappa):
+        with pytest.raises(ValueError, match=f"kappa must be >= 1, got {kappa}"):
+            CheckReport("x", kappa, 1, 0)
+
     def test_counts_at_the_ends_of_the_range(self):
         assert CheckReport("x", 2, 0, 0).passed
         assert not CheckReport("x", 2, 1, 1, None, Counterexample("w", "v", "l", "r")).passed
@@ -537,6 +542,18 @@ class TestAveragingEigenvalue:
         with pytest.raises(ValueError, match="needs kappa >= 2, got 1"):
             check_averaging_eigenvalue(1)
 
+    def test_a_float_kappa_raises(self):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            check_averaging_eigenvalue(2.0)
+
+    def test_an_integer_like_kappa_is_an_int(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        report = check_averaging_eigenvalue(Two())
+        assert report.passed and report.kappa == 2 and type(report.kappa) is int
+
 
 class TestInputGrids:
     @pytest.mark.parametrize("grid", [monomial_grid, basis_grid])
@@ -553,6 +570,15 @@ class TestDeterminism:
         other = random_words(2, 10, 5, seed=4)
         assert first == second
         assert first != other
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 2, 2, 1), "kappa must be >= 1, got 0"),
+        ((2, -1, 3, 1), "count must be >= 0, got -1"),
+        ((2, 2, 0, 1), "max_len must be >= 1, got 0"),
+    ], ids=["kappa", "count", "max_len"])
+    def test_random_words_refuse_out_of_range_arguments(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            random_words(*args)
 
     def test_random_words_are_pinned(self):
         # One randint for the length, then one choice per letter: `daha
