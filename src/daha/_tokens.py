@@ -16,10 +16,10 @@ from typing import Callable, NoReturn
 
 from .errors import ParseError
 
-# The token grammar: after optional whitespace, an integer, a name (one
-# character that ``[^\W\d_]`` matches and ``str.isalpha`` accepts, then its
-# index), one punctuation character, or any other character, which is refused.
-# ``\d`` and ``\s`` are ``str.isdecimal`` and ``str.isspace``.
+# After optional whitespace: an integer, a name and its index, a punctuation
+# character, or any other character, which is refused.  ``\s`` and ``\d`` are
+# ``str.isspace`` and ``str.isdecimal``; ``[^\W\d_]`` also matches numerals
+# such as ``½``, so a name's letter must pass ``str.isalpha`` as well.
 _TOKEN = re.compile(r"\s*((\d+)|([^\W\d_])(\d*)|[-^*+()\[\],]|(\S))")
 
 # Most decimal digits in an integer token or a name index, checked before
