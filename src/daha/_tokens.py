@@ -16,11 +16,12 @@ from typing import Callable, NoReturn
 
 from .errors import ParseError
 
-# After optional whitespace: an integer, a name and its index, a punctuation
-# character, or any other character, which is refused.  ``\s`` and ``\d`` are
-# ``str.isspace`` and ``str.isdecimal``; ``[^\W\d_]`` also matches numerals
-# such as ``½``, so a name's letter must pass ``str.isalpha`` as well.
-_TOKEN = re.compile(r"\s*((\d+)|([^\W\d_])(\d*)|[-^*+()\[\],]|(\S))")
+# An integer, a name and its index, a punctuation character, or any other
+# non-space character, which is refused.  No alternative matches whitespace,
+# so ``finditer`` skips it one position at a time, in linear time.  ``\S`` and
+# ``\d`` are ``not str.isspace`` and ``str.isdecimal``; ``[^\W\d_]`` also
+# matches numerals such as ``½``, so a name's letter must pass ``str.isalpha``.
+_TOKEN = re.compile(r"(\d+)|([^\W\d_])(\d*)|[-^*+()\[\],]|(\S)")
 
 # Most decimal digits in an integer token or a name index, checked before
 # ``int()`` runs.  640 is the smallest nonzero ``python -X int_max_str_digits``,
@@ -53,13 +54,13 @@ def tokenize(text: str) -> list[Token]:
         raise ParseError(f"text longer than {MAX_TEXT_CHARS} characters", MAX_TEXT_CHARS)
     tokens: list[Token] = []
     for match in _TOKEN.finditer(text):
-        tok, integer, letter, index, other = match.groups()
-        pos = match.start(1)
+        integer, letter, index, other = match.groups()
+        tok, pos = match.group(), match.start()
         if other or (letter and not letter.isalpha()):
             raise ParseError(f"unexpected character {tok[0]!r}", pos)
         digits = integer or index or ""
         if len(digits) > MAX_INT_DIGITS:
-            raise ParseError(f"integer longer than {MAX_INT_DIGITS} digits", match.end(1) - len(digits))
+            raise ParseError(f"integer longer than {MAX_INT_DIGITS} digits", match.end() - len(digits))
         kind = "int" if integer else "name" if letter else tok
         tokens.append(Token(kind, tok, pos, letter, int(index) if index else None))
     tokens.append(Token("end", "", len(text)))

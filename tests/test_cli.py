@@ -325,6 +325,11 @@ class TestTextCap:
         assert err == (f"error: text longer than {MAX_TEXT_CHARS} characters "
                        f"(at position {MAX_TEXT_CHARS})\n")
 
+    def test_inline_element_with_trailing_spaces_at_the_cap_evaluates(self, capsys):
+        code, out, err = run(capsys, "eval", "--rep", "poly", "--kappa", "2", "--word", "",
+                             "--elem", "X1" + " " * (MAX_TEXT_CHARS - 2))
+        assert (code, out, err) == (0, "X1\n", "")
+
     @pytest.mark.parametrize("padding, accepted", [(MAX_TEXT_CHARS - 2, True),
                                                    (MAX_TEXT_CHARS - 1, False)])
     def test_file_at_the_cap_is_stripped_and_one_past_it_rejected(

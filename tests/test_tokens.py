@@ -6,6 +6,8 @@ interpreter's conversion limit, decides which integers are accepted.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from daha import _tokens, parse_laurent, parse_scalar, parse_skein, parse_word
@@ -86,6 +88,19 @@ def test_text_over_the_length_cap_is_rejected_before_any_token(monkeypatch):
     with pytest.raises(ParseError, match=f"longer than {MAX_TEXT_CHARS} characters") as info:
         tokenize("+" * (MAX_TEXT_CHARS + 1))
     assert info.value.pos == MAX_TEXT_CHARS
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("X1" + " " * (MAX_TEXT_CHARS - 2), [("name", "X1", 0), ("end", "", MAX_TEXT_CHARS)]),
+    ("\u3000" * MAX_TEXT_CHARS, [("end", "", MAX_TEXT_CHARS)]),
+], ids=["trailing-spaces", "only-spaces"])
+def test_whitespace_run_at_the_cap_is_scanned_in_linear_time(text, expected):
+    # A pattern that takes whitespace before each token backtracks through
+    # the whole run at every position of it: minutes here, not milliseconds.
+    start = time.perf_counter()
+    tokens = tokenize(text)
+    assert time.perf_counter() - start < 2.0
+    assert [(t.kind, t.text, t.pos) for t in tokens] == expected
 
 
 @pytest.mark.parametrize("text, expected", [
