@@ -151,7 +151,7 @@ class SparseCombination:
         return _wrap(type(self), self._rank, data)
 
     def _neg(self):
-        return _wrap(type(self), self._rank, {key: -coeff for key, coeff in self._terms.items()})
+        return self._map_coefficients(ScalarPoly.__neg__)
 
     def _sub(self, other):
         if not isinstance(other, type(self)):
@@ -166,15 +166,19 @@ class SparseCombination:
         return self._map_coefficients(ScalarPoly.__mul__, coeff)
 
     def _map_coefficients(self, apply, *args):
-        """Return ``apply(coeff, *args)`` for each coefficient, once per run of
-        one coefficient object (as in exact_divide's quotients), dropping zero
-        results.  Callers read ``apply`` off :class:`ScalarPoly` at each call, so
-        a replaced method sees every use."""
+        """Return ``apply(coeff, *args)`` for each coefficient, dropping zero
+        results.  ``apply`` is a pure :class:`ScalarPoly` method, run once per
+        run of equal coefficients (the same object, as in exact_divide's
+        quotients, or an equal value right after it, as accumulate's sums),
+        and the run shares one result.  Callers read ``apply`` off
+        :class:`ScalarPoly` at each call, so a replaced method sees every use."""
         data = {}
         last = new = None
         for key, coeff in self._terms.items():
             if coeff is not last:
-                last, new = coeff, apply(coeff, *args)
+                if last is None or coeff._terms != last._terms:
+                    new = apply(coeff, *args)
+                last = coeff
             if new._terms:
                 data[key] = new
         return _wrap(type(self), self._rank, data)

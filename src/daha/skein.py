@@ -148,7 +148,7 @@ class Permutation(tuple):
 def all_permutations(kappa: int) -> Iterator[Permutation]:
     """The kappa! permutations of 1..kappa, in lexicographic order."""
     if kappa < 1:
-        raise ValueError("() is not a permutation of 1..0")
+        raise ValueError(f"kappa must be >= 1, got {kappa}")
     # itertools yields exactly the permutations, so none is validated again.
     return map(partial(Permutation._raw, Permutation), itertools.permutations(range(1, kappa + 1)))
 

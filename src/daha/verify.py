@@ -132,6 +132,8 @@ def basis_grid(kappa: int, bound: int) -> list[SkeinElement]:
 def _generator_letters(kappa: int) -> list[GeneratorLetter]:
     """Every generator and derived loop generator letter, each sign in turn:
     the braid letters s_i, then the loop letters x_i, then y_i."""
+    if kappa < 1:
+        raise ValueError(f"kappa must be >= 1, got {kappa}")
     return [GeneratorLetter(kind, i, sign)
             for kind in _KINDS for i in range(1, _max_index(kind, kappa) + 1) for sign in (1, -1)]
 

@@ -66,19 +66,22 @@ def skein_elements(
 @st.composite
 def shared_coefficient_runs(draw, keys, max_runs: int = 5):
     """Terms on distinct keys from ``keys``, in runs that share one
-    coefficient object.
+    coefficient value.
 
-    The objects come from a small pool: a few drawn scalars, ``d - s``
+    The values come from a small pool: a few drawn scalars, ``d - s``
     (which vanishes at d = s) and ``s + c^-2`` (which has no d).  A pool
-    object may head several runs, so it recurs both within a run and across
-    runs.
+    value may head several runs, so it recurs both within a run and across
+    runs.  Each term of a run holds either the pool object itself or its
+    own equal copy, ``ScalarPoly(coeff.terms)``, so a run may share one
+    object, hold distinct equal objects, or mix the two.
     """
     pool = draw(st.lists(scalar_polys(max_terms=3, min_terms=1), min_size=1, max_size=3))
     pool += [ScalarPoly({(0, 0, 1): 1, (1, 0, 0): -1}), ScalarPoly({(1, 0, 0): 1, (0, -2, 0): 1})]
     runs = draw(st.lists(
-        st.tuples(st.sampled_from(pool), st.integers(min_value=1, max_value=4)), max_size=max_runs,
+        st.tuples(st.sampled_from(pool), st.lists(st.booleans(), min_size=1, max_size=4)),
+        max_size=max_runs,
     ))
-    coeffs = [coeff for coeff, length in runs for _ in range(length)]
+    coeffs = [ScalarPoly(coeff.terms) if copy else coeff for coeff, copies in runs for copy in copies]
     distinct = draw(st.lists(keys, min_size=len(coeffs), max_size=len(coeffs), unique=True))
     return list(zip(distinct, coeffs))
 

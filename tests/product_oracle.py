@@ -1,4 +1,4 @@
-"""Slow oracles for ring sums, products and the d = s substitution.
+"""Slow oracles for ring sums, products, scaling, negation and d = s.
 
 ``ScalarPoly`` and ``LaurentPoly`` multiply by a one-term factor as a key
 shift, without merging or pruning.  The product references always take every
@@ -12,9 +12,11 @@ coefficients of each key with that constructor before building the result,
 so they share no code with ``ScalarPoly.__add__`` or
 :func:`~daha.laurent.accumulate`.
 
-The d = s substitution is done once per run of one coefficient object.  Its
-reference rebuilds every coefficient, term by term, through the
-``ScalarPoly`` constructor.
+Scaling, negation and the d = s substitution map each coefficient once per
+run of equal coefficients: the same object, or an equal value right after
+it.  Their references rebuild every coefficient, term by term, through the
+``ScalarPoly`` constructor, and a difference is the sum reference with the
+negated right operand.
 """
 
 from __future__ import annotations
@@ -59,15 +61,30 @@ def laurent_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     ])
 
 
-def d_eq_s(value):
-    """A LaurentPoly or SkeinElement at d = s.
-
-    Each coefficient is folded by the ``ScalarPoly`` constructor, and the
-    result goes through its class's validating constructor, which drops the
-    coefficients that vanish.
-    """
+def _rebuilt(value, terms):
+    """A value of value's class and rank with the given (key, coefficient)
+    terms, through the validating constructor, which drops the coefficients
+    that vanish."""
     rank = value.rank if isinstance(value, LaurentPoly) else value.kappa
-    return type(value)(rank, [
+    return type(value)(rank, terms)
+
+
+def d_eq_s(value):
+    """A LaurentPoly or SkeinElement at d = s."""
+    return _rebuilt(value, [
         (key, ScalarPoly([((e_s + e_d, e_c, 0), n) for (e_s, e_c, e_d), n in coeff.terms.items()]))
         for key, coeff in value.terms.items()
     ])
+
+
+def negated(value):
+    """-value for a LaurentPoly or SkeinElement."""
+    return _rebuilt(value, [
+        (key, ScalarPoly([(exps, -n) for exps, n in coeff.terms.items()]))
+        for key, coeff in value.terms.items()
+    ])
+
+
+def scaled(value, factor: ScalarPoly):
+    """factor * value for a LaurentPoly or SkeinElement."""
+    return _rebuilt(value, [(key, scalar_product(coeff, factor)) for key, coeff in value.terms.items()])

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,11 @@ from daha.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 SKEIN_K3 = "2*(a1*a2^-1,[2 1 3]) - d*(a3^2,[1 3 2]) + (s + c^-1)*(1,[3 2 1])"
+# One coefficient value on all six permutations of one exponent vector, as
+# the averaging map builds it; each term parses to its own coefficient object.
+SKEIN_K3_SYM = " + ".join(
+    f"(s + c^-1)*(a1^2*a3^-1,[{' '.join(map(str, perm))}])" for perm in permutations((1, 2, 3))
+)
 
 CASES = {
     "check_all_k2_seed7_json": [
@@ -47,6 +53,10 @@ CASES = {
     "eval_skein_k3_d_eq_s": [
         "eval", "--rep", "skein", "--kappa", "3", "--word", "s1*y1*s2^-1*x3", "--elem", SKEIN_K3,
         "--d-eq-s",
+    ],
+    "eval_skein_k3_sym_d_eq_s": [
+        "eval", "--rep", "skein", "--kappa", "3", "--d-eq-s", "--word", "y2*s1^-1*y1*x3^-1*y3^-1",
+        "--elem", SKEIN_K3_SYM,
     ],
     "eval_poly_k3": [
         "eval", "--rep", "poly", "--kappa", "3", "--word", "y2*s1^-1*x1^-1*y1^-1",

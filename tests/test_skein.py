@@ -158,7 +158,7 @@ class TestPermutation:
 
     @pytest.mark.parametrize("kappa", [0, -1])
     def test_all_permutations_rejects_kappa_below_one(self, kappa):
-        with pytest.raises(ValueError, match=r"^\(\) is not a permutation of 1\.\.0$"):
+        with pytest.raises(ValueError, match=f"^kappa must be >= 1, got {kappa}$"):
             list(all_permutations(kappa))
 
     def test_inverse(self):
