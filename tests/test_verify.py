@@ -630,11 +630,11 @@ class TestGeneratorLetters:
     @pytest.mark.parametrize("kappa", [0, -3])
     @pytest.mark.parametrize("letters", [default_alphabet, single_generator_words])
     def test_letters_refuse_kappa_below_one(self, letters, kappa):
-        # They used to return [], an alphabet no word can be drawn from.
+        # An empty alphabet would leave a check with no word to draw.
         with pytest.raises(ValueError, match=f"^kappa must be >= 1, got {kappa}$"):
             letters(kappa)
 
     def test_basis_grid_refuses_kappa_below_one_by_name(self):
-        # It used to name the empty permutation, not the kappa.
+        # The message names the argument, not the empty permutation.
         with pytest.raises(ValueError, match="^kappa must be >= 1, got 0$"):
             basis_grid(0, 1)
