@@ -150,8 +150,10 @@ def single_generator_words(kappa: int) -> list[GeneratorWord]:
 
 
 def random_words(kappa: int, count: int, max_len: int, seed: int) -> list[GeneratorWord]:
-    """``count`` seeded words of 1..max_len letters drawn from
-    :func:`default_alphabet`; kappa < 1, count < 0 or max_len < 1 raise ``ValueError``."""
+    """``count`` seeded words of 1..max_len letters drawn from :func:`default_alphabet`.
+    The integers pass through ``operator.index``, so a non-integer raises ``TypeError``,
+    and kappa < 1, count < 0 or max_len < 1 raise ``ValueError``."""
+    kappa, count, max_len = index(kappa), index(count), index(max_len)
     for name, value, least in (("kappa", kappa, 1), ("count", count, 0), ("max_len", max_len, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")

@@ -4,20 +4,26 @@ is stored under ``tests/golden``.
 Each case stores three files: ``<name>.stdout``, ``<name>.stderr`` and
 ``<name>.exit`` (the exit code).  A change to canonical printed forms, to
 the order of checks, to parse-error messages or to exit codes shows up here
-as a diff.  To regenerate the files after a deliberate output change, run
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+as a diff.
 
-``check_all_k3_seed42_full.stdout`` is the README's full kappa=3 check
-(``daha check --suite all --kappa 3 --seed 42 --num-words 10
---max-word-len 3``, exit code 0).  It takes seconds rather than
-milliseconds, so CI compares it through the installed console script
-instead of here; :func:`_regenerate` leaves it alone.
+This module is the one list of golden commands, in two dicts:
+
+* ``CASES`` run in milliseconds; the tier-1 suite runs each in process.
+* ``FULL_CASES`` holds the README's full kappa=3 check, which takes seconds,
+  so no tier-1 test runs it.
+
+CI runs every entry of both dicts through the installed ``daha`` console
+script with :func:`check_console_script`, which compares stdout, stderr
+and exit code.  After a deliberate output change, regenerate the files of
+both dicts with ``PYTHONPATH=src python tests/test_golden.py`` and review
+the diff.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import subprocess
 import sys
 from itertools import permutations
 from pathlib import Path
@@ -91,6 +97,13 @@ CASES = {
     ],
 }
 
+FULL_CASES = {
+    "check_all_k3_seed42_full": [
+        "check", "--suite", "all", "--kappa", "3", "--seed", "42", "--num-words", "10",
+        "--max-word-len", "3",
+    ],
+}
+
 
 def _expected(name: str) -> tuple[str, str, int]:
     return (
@@ -100,21 +113,38 @@ def _expected(name: str) -> tuple[str, str, int]:
     )
 
 
+def _run(argv: list[str]) -> tuple[str, str, int]:
+    """Run ``daha`` in process and return its (stdout, stderr, exit code)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return out.getvalue(), err.getvalue(), code
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, capsys):
-    code = main(list(CASES[name]))
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err, code) == _expected(name)
+def test_golden_output(name):
+    assert _run(CASES[name]) == _expected(name)
+
+
+def check_console_script() -> None:
+    """Run every case of both dicts through the installed ``daha`` console
+    script, and exit naming the cases whose stdout, stderr or exit code
+    differs from their golden files."""
+    mismatches = []
+    for name, argv in {**CASES, **FULL_CASES}.items():
+        run = subprocess.run(["daha", *argv], capture_output=True)
+        if (run.stdout.decode(), run.stderr.decode(), run.returncode) != _expected(name):
+            mismatches.append(name)
+    if mismatches:
+        sys.exit(f"differ from tests/golden: {', '.join(mismatches)}")
 
 
 def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
-        (GOLDEN / f"{name}.stdout").write_text(out.getvalue(), encoding="utf-8")
-        (GOLDEN / f"{name}.stderr").write_text(err.getvalue(), encoding="utf-8")
+    for name, argv in {**CASES, **FULL_CASES}.items():
+        out, err, code = _run(argv)
+        (GOLDEN / f"{name}.stdout").write_text(out, encoding="utf-8")
+        (GOLDEN / f"{name}.stderr").write_text(err, encoding="utf-8")
         (GOLDEN / f"{name}.exit").write_text(f"{code}\n", encoding="utf-8")
         print(f"{name}: exit {code}", file=sys.stderr)
 

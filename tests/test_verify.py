@@ -580,6 +580,14 @@ class TestDeterminism:
         with pytest.raises(ValueError, match=message):
             random_words(*args)
 
+    @pytest.mark.parametrize("args", [(2.0, 2, 2, 1), (2, 2.0, 2, 1), (2, 2, 2.5, 1)],
+                             ids=["kappa", "count", "max_len"])
+    def test_random_words_refuse_non_integer_arguments(self, args):
+        # A float max_len used to pass the range check and fail inside
+        # random.randrange, and a float kappa or count inside range().
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            random_words(*args)
+
     def test_random_words_are_pinned(self):
         # One randint for the length, then one choice per letter: `daha
         # check` output for a fixed seed depends on this draw order.
