@@ -8,7 +8,11 @@ exponent vectors to nonzero :class:`~daha.scalars.ScalarPoly` coefficients.
 :class:`~daha.skein.SkeinElement` both subclass :class:`SparseCombination`:
 the storage, validating constructor, module operations, equality and printer
 live once, in that base class, and :func:`accumulate` is the one
-accumulate-and-prune loop of both.
+accumulate-and-prune loop of both.  Work is shared over runs of equal
+coefficients: a coefficient map runs once per run of equal values, and
+:func:`accumulate` makes one sum per run of adds that meet the same two
+coefficient objects.  Both are exact, since scalars are immutable and their
+arithmetic is pure.
 
 Besides ring arithmetic the module provides the three operators that the
 representation is built from:
@@ -67,10 +71,23 @@ def _wrap(cls: type, rank: int, data: dict):
 
 def accumulate(data: dict, items: Iterable[tuple]) -> None:
     """Add the (key, value) pairs of items into data in place, dropping every
-    key whose total is zero."""
+    key whose total is zero.
+
+    An add whose (total, value) are the same two objects as the previous
+    add's reuses that sum, so a run of keys that share both coefficient
+    objects (as the braided half of :func:`~daha.skein.act_sigma` makes on a
+    symmetrized element) costs one ``ScalarPoly`` sum.  Only identity is
+    compared: a value test costs more than the sums it saves."""
+    last_total = last_value = last_sum = None
     for key, value in items:
         total = data.get(key)
-        total = value if total is None else total + value
+        if total is None:
+            total = value
+        elif total is last_total and value is last_value:
+            total = last_sum
+        else:
+            last_total, last_value = total, value
+            total = last_sum = total + value
         if total._terms:
             data[key] = total
         else:

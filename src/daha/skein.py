@@ -236,7 +236,12 @@ class SkeinElement(SparseCombination):
         ``dict.update``.  Only with several exponent vectors can two copies
         share a key, and then they are merged with
         :func:`~daha.laurent.accumulate`, which drops cancelled keys.
+
+        A ``poly`` that is not a :class:`~daha.laurent.LaurentPoly` raises
+        ``TypeError``, and one of another rank ``RankMismatchError``.
         """
+        if not isinstance(poly, LaurentPoly):
+            raise TypeError(f"multiply_by_a_poly expects a LaurentPoly, got {type(poly).__name__}")
         self._check_rank(poly)
         data: dict[BasisKey, ScalarPoly] = {}
         disjoint = len({exps for exps, _ in self._terms}) <= 1
@@ -310,6 +315,15 @@ def act_sigma(i: int, v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
     where the braided half meets keys already placed and where the halves
     of different exponent groups meet.  Each permutation's rule is built once
     per call, and at d = s it is substituted there, before any product.
+
+    A group's braided half is one :func:`~daha.laurent.accumulate` call over
+    :func:`_braided_half`, which walks the group in runs of equal c_sigma and
+    makes each distinct product of a rule coefficient and the run's value
+    once.  A symmetrized group is one run of kappa! terms, so it costs three
+    products (d^-1, d and hbar, or s^-1, s and hbar at d = s).  Its items
+    then share those objects, so where they merge, accumulate makes one sum
+    per run of adds of the same two objects.  This is exact: scalars are
+    immutable and their arithmetic is pure.
     """
     kappa = v._rank
     i = check_index("braid index", i, kappa - 1)
@@ -332,16 +346,38 @@ def act_sigma(i: int, v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
                 accumulate(data, product.items())
             else:
                 data = product
-        for perm, coeff in pairs:
-            rule = rules.get(perm)
-            if rule is None:
-                rule = act_sigma_base(i, perm)
-                rule = rules[perm] = (rule.substitute_d_eq_s() if d_eq_s else rule)._terms
-            accumulate(data, (
-                ((swapped_exps, base_perm), base_coeff * coeff)
-                for (_, base_perm), base_coeff in rule.items()
-            ))
+        accumulate(data, _braided_half(i, swapped_exps, pairs, rules, d_eq_s))
     return _wrap(SkeinElement, kappa, data)
+
+
+def _braided_half(i, swapped_exps, pairs, rules, d_eq_s):
+    """The items ((swap_i n, sigma'), rule coefficient * c_sigma) of one
+    exponent group's braided half, in input order.
+
+    The pairs are walked in runs of equal c_sigma (the same object, or an
+    equal value right after it), and within a run each distinct rule
+    coefficient's product is made once and shared.  Rule coefficients are
+    compared by identity, then by value: at d = s each permutation's rule
+    is substituted on its own, so equal coefficients are distinct objects."""
+    last = None
+    products: list[tuple[ScalarPoly, ScalarPoly]] = []
+    for perm, coeff in pairs:
+        if coeff is not last:
+            if last is None or coeff._terms != last._terms:
+                products = []
+            last = coeff
+        rule = rules.get(perm)
+        if rule is None:
+            rule = act_sigma_base(i, perm)
+            rule = rules[perm] = (rule.substitute_d_eq_s() if d_eq_s else rule)._terms
+        for (_, base_perm), base_coeff in rule.items():
+            for known, product in products:
+                if known is base_coeff or known._terms == base_coeff._terms:
+                    break
+            else:
+                product = base_coeff * coeff
+                products.append((base_coeff, product))
+            yield (swapped_exps, base_perm), product
 
 
 def act_sigma_inv(i: int, v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
@@ -392,10 +428,13 @@ def act_word(word: GeneratorWord, v: SkeinElement, d_eq_s: bool = False) -> Skei
 def symmetrize(f: LaurentPoly) -> SkeinElement:
     """Send each monomial to the sum of basis pairs over all permutations.
 
-    The coefficients of f must not involve d.  The result is canonical as
-    built: the basis pairs are distinct and every coefficient is a nonzero
-    coefficient of f.
+    f must be a :class:`~daha.laurent.LaurentPoly` (anything else raises
+    ``TypeError``) whose coefficients do not involve d (``ValueError``).  The
+    result is canonical as built: the basis pairs are distinct and every
+    coefficient is a nonzero coefficient of f.
     """
+    if not isinstance(f, LaurentPoly):
+        raise TypeError(f"symmetrize expects a LaurentPoly, got {type(f).__name__}")
     if any(coeff.has_d() for coeff in f._terms.values()):
         raise ValueError("the averaging map is not defined for coefficients involving d")
     kappa = f._rank

@@ -21,8 +21,8 @@ Each check walks every case, never stops early, counts failures, and keeps
 the first counterexample, so a systematic error is visible in full.  Words
 and inputs may be any iterables.  Before any case runs, a word (relation
 sides included) or input of another rank than the check's kappa raises
-:class:`~daha.errors.RankMismatchError`, and an input of the other module
-:class:`TypeError`.
+:class:`~daha.errors.RankMismatchError`, and an input of the other module,
+or a seed that is neither ``None`` nor an integer, :class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -237,8 +237,10 @@ def check_intertwiner(
     symmetrize(word . f) for its report, so the counterexample, and any
     error symmetrize raises, are those of the plain comparison.  Words and
     monomials may be any iterables; no words or no monomials raise
-    ``ValueError``, since no case would run.
+    ``ValueError``, since no case would run.  ``seed`` is only echoed in
+    the report; it passes through ``operator.index`` before any case runs.
     """
+    seed = None if seed is None else index(seed)
     monomials, words = _check_inputs(kappa, LaurentPoly, monomials, words)
     if not words or not monomials:
         raise ValueError("check_intertwiner needs at least one word and one monomial")
@@ -263,7 +265,9 @@ def check_subrep_closure(
     (:func:`is_symmetrization`) of the polynomial g that holds one of its
     coefficients at each of its exponent vectors.  The i-th word acts on the
     i-th monomial.  Words and monomials may be any iterables, checked before
-    any case runs, and they must have the same nonzero length."""
+    any case runs, and they must have the same nonzero length.  ``seed``, as
+    in :func:`check_intertwiner`, passes through ``operator.index`` first."""
+    seed = None if seed is None else index(seed)
     monomials, words = _check_inputs(kappa, LaurentPoly, monomials, words)
     if len(words) != len(monomials):
         raise ValueError(

@@ -587,6 +587,13 @@ class TestWordAction:
         with pytest.raises(RankMismatchError):
             unit(2, E2).multiply_by_a_poly(LaurentPoly.one(3))
 
+    @pytest.mark.parametrize("poly", [s_power(1), SkeinElement.basis(2, (1, 0))],
+                             ids=["ScalarPoly", "SkeinElement"])
+    def test_multiply_by_a_poly_rejects_a_non_polynomial(self, poly):
+        name = type(poly).__name__
+        with pytest.raises(TypeError, match=f"multiply_by_a_poly expects a LaurentPoly, got {name}"):
+            unit(2, E2).multiply_by_a_poly(poly)
+
     def test_derived_loop_conjugation(self):
         # s_i x_i s_i = x_{i+1} and s_i y_i s_i = y_{i+1} as operator
         # identities on the skein module, mirroring the polynomial side.

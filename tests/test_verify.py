@@ -94,6 +94,15 @@ class TestSymmetrize:
         with pytest.raises(ValueError, match="d"):
             symmetrize(f)
 
+    def test_rejects_a_skein_element(self):
+        # Its keys are basis pairs, so averaging it would nest them in new pairs.
+        with pytest.raises(TypeError, match="symmetrize expects a LaurentPoly, got SkeinElement"):
+            symmetrize(SkeinElement.basis(2, (1, 0)))
+
+    def test_rejects_a_scalar(self):
+        with pytest.raises(TypeError, match="symmetrize expects a LaurentPoly, got ScalarPoly"):
+            symmetrize(s_power(1))
+
 
 @st.composite
 def d_free_polys(draw, kappa: int):
@@ -420,6 +429,28 @@ def test_preconditions_check_words_then_each_input_class_before_rank():
         check_intertwiner(3, single_generator_words(2)[:1], [skein_input])
     with pytest.raises(TypeError, match="expected a LaurentPoly input, got SkeinElement"):
         check_intertwiner(3, single_generator_words(3)[:1], [skein_input])
+
+
+@pytest.mark.parametrize("check", [check_intertwiner, check_subrep_closure])
+@pytest.mark.parametrize("seed", ["x", 2.5])
+def test_a_seed_that_is_no_integer_raises_before_any_case(check, seed, monkeypatch):
+    calls = []
+    for module in (polyrep, skein):
+        monkeypatch.setattr(module, "act_word", lambda *args, **kwargs: calls.append(args))
+    words = single_generator_words(2)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        check(2, words, [LaurentPoly.one(2)] * len(words), seed=seed)
+    assert calls == []
+
+
+@pytest.mark.parametrize("check", [check_intertwiner, check_subrep_closure])
+def test_an_integer_like_seed_is_an_int(check):
+    class Five:
+        def __index__(self):
+            return 5
+
+    report = check(2, single_generator_words(2)[:1], [LaurentPoly.one(2)], seed=Five())
+    assert report.passed and report.seed == 5 and type(report.seed) is int
 
 
 def _flip_d(value: ScalarPoly) -> ScalarPoly:
