@@ -26,7 +26,8 @@ representation is built from:
 
 and :func:`braid_kernel`, the divided difference built from
 :func:`swap_variables` and :func:`exact_divide` that both module actions of
-the braid letter s_i share.  :func:`adjacent_ratio` builds the one-term
+the braid letter s_i share.  The three operators refuse anything but a
+:class:`LaurentPoly` with ``TypeError`` naming its class.  :func:`adjacent_ratio` builds the one-term
 divisor part ``X_i * X_{i+1}^-1``.
 
 The number of variables (the rank) travels with every value and binary
@@ -78,9 +79,10 @@ def accumulate(data: dict, items: Iterable[tuple]) -> None:
     objects (as the braided half of :func:`~daha.skein.act_sigma` makes on a
     symmetrized element) costs one ``ScalarPoly`` sum.  Only identity is
     compared: a value test costs more than the sums it saves."""
+    get = data.get
     last_total = last_value = last_sum = None
     for key, value in items:
-        total = data.get(key)
+        total = get(key)
         if total is None:
             total = value
         elif total is last_total and value is last_value:
@@ -163,7 +165,7 @@ class SparseCombination:
         large, small = (self, other) if len(self._terms) >= len(other._terms) else (other, self)
         if not small._terms:
             return large
-        data = dict(large._terms)
+        data = large._terms.copy()
         accumulate(data, small._terms.items())
         return _wrap(type(self), self._rank, data)
 
@@ -322,8 +324,14 @@ def _monomial_string(exps: ExponentVector, letter: str) -> str:
 # -- variable operators --------------------------------------------------------
 
 
+def _refuse(name: str, f: object) -> None:
+    raise TypeError(f"{name} expects a LaurentPoly, got {type(f).__name__}")
+
+
 def swap_variables(f: LaurentPoly, i: int) -> LaurentPoly:
     """Exchange X_i and X_{i+1} in every term (an involution, 1 <= i < rank)."""
+    if not isinstance(f, LaurentPoly):
+        _refuse("swap_variables", f)
     i = check_index("adjacent-pair index", i, f._rank - 1)
     return _wrap(LaurentPoly, f._rank, {
         key[: i - 1] + (key[i], key[i - 1]) + key[i + 1 :]: coeff
@@ -342,6 +350,8 @@ def rotate_variables(f: LaurentPoly) -> LaurentPoly:
     On a monomial with exponent vector (n_1, ..., n_k) this produces
     c^(2 n_1) X_k^(n_1) X_1^(n_2) ... X_{k-1}^(n_k).
     """
+    if not isinstance(f, LaurentPoly):
+        _refuse("rotate_variables", f)
     return _wrap(LaurentPoly, f._rank, {
         key[1:] + key[:1]: coeff * c_power(2 * key[0]) for key, coeff in f._terms.items()
     })
@@ -350,6 +360,8 @@ def rotate_variables(f: LaurentPoly) -> LaurentPoly:
 def rotate_variables_inverse(f: LaurentPoly) -> LaurentPoly:
     """Inverse of :func:`rotate_variables`; validated by the round trip
     rotate_variables_inverse(rotate_variables(f)) == f."""
+    if not isinstance(f, LaurentPoly):
+        _refuse("rotate_variables_inverse", f)
     return _wrap(LaurentPoly, f._rank, {
         key[-1:] + key[:-1]: coeff * c_power(-2 * key[-1]) for key, coeff in f._terms.items()
     })
@@ -370,15 +382,25 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
     differ only by powers of Y (same exponents away from positions i, i+1 and
     same exponent sum at those positions); within each class the division is
     univariate Laurent division by Y - 1.  A class is divisible exactly when
-    its coefficients sum to zero; otherwise :class:`NonDivisibleError` is
-    raised.  Differences (swap - 1)f are always divisible, so this error on
-    such input signals an arithmetic bug upstream.
+    its coefficients sum to zero; otherwise :class:`NonDivisibleError`, naming
+    the class and its remainder, is raised.  Differences (swap - 1)f are
+    always divisible, so this error on such input signals an arithmetic bug
+    upstream.
+
+    Each class is one sweep from its top degree down.  The running sum beta
+    starts at the top coefficient; at each lower degree j the sweep stores
+    beta as the quotient coefficient at j and then adds the class's
+    coefficient at j, so the last add gives the remainder.  A beta that has
+    cancelled to zero is replaced by the next coefficient, not added to it,
+    so no sum involves the zero polynomial.
 
     The quotient q is certified before it is returned: ``q * Y == f + q``
     must hold, which is ``q * (Y - 1) == f`` rearranged so that the product
     is a one-term shift.  A failed certification also raises
     :class:`NonDivisibleError`.
     """
+    if not isinstance(f, LaurentPoly):
+        _refuse("exact_divide", f)
     rank = f._rank
     i = check_index("adjacent-pair index", i, rank - 1)
     idx = i - 1
@@ -387,24 +409,22 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
         cls = key[:idx] + (key[idx] + key[idx + 1],) + key[idx + 2 :]
         groups.setdefault(cls, {})[key[idx]] = coeff
 
-    zero = ScalarPoly.zero()
     data: dict[ExponentVector, ScalarPoly] = {}
     for cls, alphas in groups.items():
         pair_sum = cls[idx]
         head, tail = cls[:idx], cls[idx + 1 :]
         low, high = min(alphas), max(alphas)
-        beta = zero
-        for j in range(high, low, -1):
+        beta = alphas[high]
+        for j in range(high - 1, low - 1, -1):
+            if beta._terms:
+                data[head + (j, pair_sum - j) + tail] = beta
             alpha = alphas.get(j)
             if alpha is not None:
-                beta = beta + alpha
-            if beta._terms:
-                data[head + (j - 1, pair_sum - (j - 1)) + tail] = beta
-        remainder = beta + alphas[low]
-        if remainder._terms:
+                beta = beta + alpha if beta._terms else alpha
+        if beta._terms:
             raise NonDivisibleError(
                 f"polynomial is not divisible by X{i}*X{i + 1}^-1 - 1 "
-                f"(class {cls} leaves remainder {remainder})"
+                f"(class {cls} leaves remainder {beta})"
             )
     quotient = _wrap(LaurentPoly, rank, data)
 

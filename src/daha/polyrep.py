@@ -36,6 +36,9 @@ from .laurent import (
 from .scalars import s_power
 from .words import GeneratorWord, apply_word, apply_y1, apply_y1_inv
 
+_S = s_power(1)
+_S_INV = s_power(-1)
+
 
 def act_x(i: int, f: LaurentPoly, exp: int = 1) -> LaurentPoly:
     """Multiply by X_i^exp (exp = -1 gives the inverse letter)."""
@@ -45,7 +48,7 @@ def act_x(i: int, f: LaurentPoly, exp: int = 1) -> LaurentPoly:
 def act_sigma(i: int, f: LaurentPoly) -> LaurentPoly:
     """Apply the braid letter s_i."""
     swapped, g = braid_kernel(f, i)
-    return swapped.scale(s_power(1)) + g
+    return swapped.scale(_S) + g
 
 
 def act_sigma_inv(i: int, f: LaurentPoly) -> LaurentPoly:
@@ -57,7 +60,7 @@ def act_sigma_inv(i: int, f: LaurentPoly) -> LaurentPoly:
     product by the one-term Y is a key shift.
     """
     swapped, g = braid_kernel(f, i)
-    return swapped.scale(s_power(-1)) + g * adjacent_ratio(f._rank, i)
+    return swapped.scale(_S_INV) + g * adjacent_ratio(f._rank, i)
 
 
 def act_y1(f: LaurentPoly) -> LaurentPoly:

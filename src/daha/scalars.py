@@ -19,6 +19,11 @@ A product with a one-term factor, an integer among them, is a shift of the
 exponent triples and a scaling of the coefficients: no two terms can merge
 and, Z being an integral domain, none can vanish, so it is built in one pass
 without the accumulate-and-prune loop that general products need.
+
+Each result is built once: an operation fills one new dict (a sum copies the
+larger operand's dict and walks the smaller one) and stores it in a new
+instance, with no pass through the validating constructor.  A sum with the
+zero polynomial returns the other operand itself.
 """
 
 from __future__ import annotations
@@ -111,17 +116,21 @@ class ScalarPoly:
             self, other = other, self
         if not other._terms:
             return self
-        data = dict(self._terms)
+        data = self._terms.copy()
         for key, coeff in other._terms.items():
             total = data.get(key, 0) + coeff
             if total:
                 data[key] = total
             else:
                 del data[key]
-        return _wrap(data)
+        poly = _new(ScalarPoly)
+        poly._terms = data
+        return poly
 
     def __neg__(self) -> "ScalarPoly":
-        return _wrap({key: -coeff for key, coeff in self._terms.items()})
+        poly = _new(ScalarPoly)
+        poly._terms = {key: -coeff for key, coeff in self._terms.items()}
+        return poly
 
     def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
         if not isinstance(other, ScalarPoly):
@@ -157,10 +166,12 @@ class ScalarPoly:
         ((e_s, e_c, e_d), n), = unit._terms.items()
         if n == 1 and not (e_s or e_c or e_d):
             return poly
-        return _wrap({
+        product = _new(ScalarPoly)
+        product._terms = {
             (a_s + e_s, a_c + e_c, a_d + e_d): a_coeff * n
             for (a_s, a_c, a_d), a_coeff in poly._terms.items()
-        })
+        }
+        return product
 
     __rmul__ = __mul__
 
