@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -30,6 +32,7 @@ from daha import (
     symmetrize,
 )
 from daha import laurent
+from daha._tokens import MAX_EXPONENT
 from daha.errors import ParseError
 from daha.laurent import adjacent_ratio, braid_kernel
 
@@ -348,6 +351,142 @@ class TestExactDivide:
             LaurentPoly.variable(3, i) * LaurentPoly.variable(3, i + 1, -1) - LaurentPoly.one(3)
         )
         assert exact_divide(q * divisor, i) == q
+
+
+def _scalar_sum(a: dict, b: dict) -> dict:
+    """The sum of two scalars held as plain {triple: int} dicts."""
+    total = dict(a)
+    for key, n in b.items():
+        total[key] = total.get(key, 0) + n
+    return {key: n for key, n in total.items() if n}
+
+
+def long_division(terms: dict, i: int) -> tuple[dict, dict]:
+    """Divide ``{exps: {triple: int}}`` by X_i X_{i+1}^-1 - 1 by schoolbook
+    long division in Y = X_i X_{i+1}^-1, class by class, on plain dicts.
+
+    Return (quotient, {class: nonzero remainder}).  Each step takes the
+    leading term a*Y^top of what is left, puts a*Y^(top-1) in the quotient
+    and subtracts a*Y^(top-1) * (Y - 1), which moves a down one degree.
+    """
+    idx = i - 1
+    classes: dict[tuple, dict[int, dict]] = {}
+    for exps, coeff in terms.items():
+        cls = exps[:idx] + (exps[idx] + exps[idx + 1],) + exps[idx + 2 :]
+        classes.setdefault(cls, {})[exps[idx]] = dict(coeff)
+    quotient, remainders = {}, {}
+    for cls, left in classes.items():
+        low = min(left)
+        while left and max(left) > low:
+            top = max(left)
+            lead = left.pop(top)
+            quotient[cls[:idx] + (top - 1, cls[idx] - top + 1) + cls[idx + 1 :]] = lead
+            moved = _scalar_sum(left.get(top - 1, {}), lead)
+            if moved:
+                left[top - 1] = moved
+            else:
+                left.pop(top - 1, None)
+        if left:
+            remainders[cls] = left[low]
+    return quotient, remainders
+
+
+def plain(f: LaurentPoly) -> dict:
+    return {exps: dict(coeff.terms) for exps, coeff in f.terms.items()}
+
+
+def seeded_poly(rng, rank: int, terms: int, spread: int) -> LaurentPoly:
+    """A polynomial whose exponents lie in a small box, so that several
+    terms share a class; coefficients come from a few multi-term scalars."""
+    pool = [hbar(), s_power(1) + c_power(-1) * 3, d_power(2) - ScalarPoly.integer(2), ScalarPoly.integer(-5)]
+    return LaurentPoly(rank, [
+        (tuple(rng.randint(-spread, spread) for _ in range(rank)), rng.choice(pool))
+        for _ in range(terms)
+    ])
+
+
+class TestExactDivideSweep:
+    """The class-by-class sweep against a long division on plain dicts."""
+
+    @pytest.mark.parametrize("kappa", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_swap_differences_match_long_division(self, kappa, seed):
+        rng = random.Random(1000 * kappa + seed)
+        f = seeded_poly(rng, kappa, terms=3 + 2 * kappa, spread=2)
+        i = rng.randint(1, kappa - 1)
+        g = swap_variables(f, i) - f
+        quotient, remainders = long_division(plain(g), i)
+        assert not remainders
+        classes = {exps[: i - 1] + (exps[i - 1] + exps[i],) + exps[i + 1 :] for exps in g.terms}
+        assert len(classes) > 1
+        assert plain(exact_divide(g, i)) == quotient
+
+    def test_a_class_at_the_exponent_cap(self):
+        m = MAX_EXPONENT
+        f = X(1, m) * X(2, -m).scale(hbar()) + X(2, 3).scale(c_power(1))
+        g = swap_variables(f, 1) - f
+        quotient, remainders = long_division(plain(g), 1)
+        assert not remainders
+        assert len(quotient) == 2 * m + 3
+        assert plain(exact_divide(g, 1)) == quotient
+
+    def test_a_zero_gap_inside_one_class(self):
+        # (Y^2 + 1) * (Y - 1) = Y^3 - Y^2 + Y - 1: the running sum cancels at
+        # degree 1, so the quotient has no Y^1 term.
+        q = X(1, 2) * X(2, -2) + LaurentPoly.one(2).scale(s_power(1))
+        f = q * crossing_binomial(2, 1)
+        assert f.term_count() == 4
+        assert exact_divide(f, 1) == q
+        assert plain(q) == long_division(plain(f), 1)[0]
+
+    def test_a_single_term_class_is_named(self):
+        # A divisible class next to the one-term class (2, 1) = {3*X1^2*X3}.
+        f = crossing_binomial(3, 1) + X(1, 2, 3) * X(3, 1, 3).scale(3)
+        assert long_division(plain(f), 1)[1] == {(2, 1): {(0, 0, 0): 3}}
+        with pytest.raises(NonDivisibleError, match=re.escape("class (2, 1) leaves remainder 3")):
+            exact_divide(f, 1)
+
+    def test_zero_input_at_the_last_pair(self):
+        assert long_division({}, 3) == ({}, {})
+        assert exact_divide(LaurentPoly.zero(4), 3) == LaurentPoly.zero(4)
+
+    def test_no_sum_has_a_zero_operand(self, monkeypatch):
+        original = ScalarPoly.__add__
+        sums, empty = [], []
+
+        def recording_add(a, b):
+            sums.append(1)
+            if not a.terms or not b.terms:
+                empty.append((a, b))
+            return original(a, b)
+
+        rng = random.Random(7)
+        cases = [(swap_variables(f, 1) - f, 1) for f in (seeded_poly(rng, 3, 9, 2) for _ in range(8))]
+        q = X(1, 2) * X(2, -2) + LaurentPoly.one(2)
+        cases.append((q * crossing_binomial(2, 1), 1))
+        monkeypatch.setattr(ScalarPoly, "__add__", recording_add)
+        for g, i in cases:
+            exact_divide(g, i)
+        assert sums
+        assert empty == []
+
+
+class TestOperandClass:
+    """Laurent's variable operators refuse anything but a LaurentPoly."""
+
+    @pytest.mark.parametrize("name, call", [
+        ("swap_variables", lambda v: swap_variables(v, 1)),
+        ("rotate_variables", rotate_variables),
+        ("rotate_variables_inverse", rotate_variables_inverse),
+        ("exact_divide", lambda v: exact_divide(v, 1)),
+        ("swap_variables", lambda v: braid_kernel(v, 1)),
+    ], ids=["swap_variables", "rotate_variables", "rotate_variables_inverse", "exact_divide",
+            "braid_kernel"])
+    @pytest.mark.parametrize("value", [SkeinElement.basis(2, (1, 0)), s_power(1), 3],
+                             ids=["SkeinElement", "ScalarPoly", "int"])
+    def test_refuses_another_class(self, name, call, value):
+        with pytest.raises(TypeError, match=f"^{name} expects a LaurentPoly, got {type(value).__name__}$"):
+            call(value)
 
 
 class TestBraidKernel:

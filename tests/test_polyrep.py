@@ -12,6 +12,7 @@ from daha import (
     GeneratorWord,
     LaurentPoly,
     ScalarPoly,
+    SkeinElement,
     c_power,
     d_power,
     hbar,
@@ -56,6 +57,13 @@ class TestLoopLetters:
 
 
 class TestBraidLetter:
+    @pytest.mark.parametrize("act", [act_sigma, act_sigma_inv])
+    @pytest.mark.parametrize("value", [SkeinElement.basis(2, (1, 0)), s_power(1)],
+                             ids=["SkeinElement", "ScalarPoly"])
+    def test_refuses_another_class(self, act, value):
+        with pytest.raises(TypeError, match=f"expects a LaurentPoly, got {type(value).__name__}$"):
+            act(1, value)
+
     def test_on_constant(self):
         assert act_sigma(1, LaurentPoly.one(2)) == LaurentPoly.one(2).scale(s_power(1))
 
