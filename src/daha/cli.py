@@ -30,6 +30,7 @@ from math import factorial
 from . import __version__, polyrep, verify
 from . import skein as skein_mod
 from ._tokens import MAX_TEXT_CHARS
+from .errors import check_at_least
 from .laurent import LaurentPoly, parse_laurent
 from .skein import parse_skein
 from .verify import CheckReport
@@ -101,10 +102,10 @@ def _check_ranges(args: argparse.Namespace, *ranges: tuple[str, int, int | None]
     unset flag passes, and ``most`` None is no upper bound."""
     for flag, least, most in ranges:
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
-        if value is not None and most is not None and value > most:
-            raise ValueError(f"{flag} must be <= {most}, got {value}")
+        if value is not None:
+            check_at_least(flag, value, least)
+            if most is not None and value > most:
+                raise ValueError(f"{flag} must be <= {most}, got {value}")
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the one index range check, and
-the one unpickling rule of the validating dataclasses."""
+"""Exception types shared across the package, the one index range check, the
+one lower-bound check of an integer argument, and the one unpickling rule of
+the validating dataclasses."""
 
 from __future__ import annotations
 
@@ -37,6 +38,15 @@ def check_index(what: str, i: int, most: int) -> int:
     if not 1 <= i <= most:
         raise IndexError(f"{what} {i} out of range 1..{most}")
     return i
+
+
+def check_at_least(what: str, value: int, least: int) -> int:
+    """The one lower-bound check of an integer argument: return ``value`` as an
+    int, or raise ``ValueError`` (below ``least``) or ``TypeError`` (no integer)."""
+    value = index(value)
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 def reduce_through_constructor(self):

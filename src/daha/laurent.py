@@ -49,7 +49,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ._tokens import TokenStream, check_exponents, parse_signed_int, parse_signed_sum
-from .errors import NonDivisibleError, RankMismatchError, check_index
+from .errors import NonDivisibleError, RankMismatchError, check_at_least, check_index
 from .scalars import (
     ScalarPoly, _format_scalar_term, _times, c_power, format_powers, hbar, join_signed,
     parse_scalar_factor, parse_scalar_sum,
@@ -113,7 +113,7 @@ class SparseCombination:
     _RANK = "rank"
 
     def __init__(self, rank: int, terms: Mapping | Iterable[tuple] = ()):
-        self._rank = rank = self._checked_rank(rank)
+        self._rank = rank = check_at_least(self._RANK, rank, 1)
         self._terms = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         accumulate(self._terms, (
@@ -124,13 +124,6 @@ class SparseCombination:
     def __reduce__(self):
         # Unpickle through the validating constructor, under every protocol.
         return type(self), (self._rank, self._terms)
-
-    @classmethod
-    def _checked_rank(cls, rank: int) -> int:
-        rank = index(rank)
-        if rank < 1:
-            raise ValueError(f"{cls._RANK} must be >= 1, got {rank}")
-        return rank
 
     @classmethod
     def zero(cls, rank: int):
@@ -260,7 +253,7 @@ class LaurentPoly(SparseCombination):
 
     @classmethod
     def monomial(cls, rank: int, exps: Iterable[int], coeff: ScalarPoly | int = 1) -> "LaurentPoly":
-        rank = cls._checked_rank(rank)
+        rank = check_at_least(cls._RANK, rank, 1)
         key = cls._check_key(rank, exps)
         if not isinstance(coeff, ScalarPoly):
             coeff = ScalarPoly.integer(coeff)
@@ -269,7 +262,7 @@ class LaurentPoly(SparseCombination):
     @classmethod
     def variable(cls, rank: int, i: int, exp: int = 1) -> "LaurentPoly":
         """The monomial X_i^exp."""
-        rank = cls._checked_rank(rank)
+        rank = check_at_least(cls._RANK, rank, 1)
         exps = [0] * rank
         exps[check_index("variable index", i, rank) - 1] = exp
         return cls.monomial(rank, exps)

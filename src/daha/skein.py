@@ -83,9 +83,9 @@ from operator import add, index
 from typing import Iterable, Iterator, Sequence
 
 from ._tokens import TokenStream, check_exponents, parse_signed_int, parse_signed_sum
-from .errors import check_index
+from .errors import check_at_least, check_index
 from .laurent import (
-    LaurentPoly, SparseCombination, _monomial_string, _wrap, accumulate, braid_kernel,
+    LaurentPoly, SparseCombination, _monomial_string, _refuse, _wrap, accumulate, braid_kernel,
 )
 from .scalars import ScalarPoly, c_power, d_power, hbar, parse_scalar_factor, parse_scalar_sum
 from .words import GeneratorWord, apply_word, apply_y1, apply_y1_inv
@@ -147,8 +147,7 @@ class Permutation(tuple):
 
 def all_permutations(kappa: int) -> Iterator[Permutation]:
     """The kappa! permutations of 1..kappa, in lexicographic order."""
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    kappa = check_at_least("kappa", kappa, 1)
     # itertools yields exactly the permutations, so none is validated again.
     return map(partial(Permutation._raw, Permutation), itertools.permutations(range(1, kappa + 1)))
 
@@ -241,7 +240,7 @@ class SkeinElement(SparseCombination):
         ``TypeError``, and one of another rank ``RankMismatchError``.
         """
         if not isinstance(poly, LaurentPoly):
-            raise TypeError(f"multiply_by_a_poly expects a LaurentPoly, got {type(poly).__name__}")
+            _refuse("multiply_by_a_poly", poly)
         self._check_rank(poly)
         data: dict[BasisKey, ScalarPoly] = {}
         disjoint = len({exps for exps, _ in self._terms}) <= 1
@@ -434,7 +433,7 @@ def symmetrize(f: LaurentPoly) -> SkeinElement:
     coefficient is a nonzero coefficient of f.
     """
     if not isinstance(f, LaurentPoly):
-        raise TypeError(f"symmetrize expects a LaurentPoly, got {type(f).__name__}")
+        _refuse("symmetrize", f)
     if any(coeff.has_d() for coeff in f._terms.values()):
         raise ValueError("the averaging map is not defined for coefficients involving d")
     kappa = f._rank

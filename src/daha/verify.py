@@ -35,7 +35,7 @@ from typing import Iterable
 
 from . import polyrep
 from . import skein as skein_mod
-from .errors import RankMismatchError, reduce_through_constructor
+from .errors import RankMismatchError, check_at_least, reduce_through_constructor
 from .laurent import LaurentPoly
 from .scalars import s_power
 from .skein import SkeinElement, all_permutations, is_symmetrization, symmetrize
@@ -66,8 +66,7 @@ class CheckReport:
     def __post_init__(self):
         for name in ("kappa", "cases", "failures"):
             object.__setattr__(self, name, index(getattr(self, name)))
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
+        check_at_least("kappa", self.kappa, 1)
         if self.seed is not None:
             object.__setattr__(self, "seed", index(self.seed))
         if not isinstance(self.counterexample, (Counterexample, type(None))):
@@ -108,23 +107,22 @@ class _Tally:
 # -- input suites ----------------------------------------------------------------
 
 
+def _exponent_box(rank: int, bound: int) -> Iterable[tuple[int, ...]]:
+    """The exponent vectors of length rank with entries in [-bound, bound] (bound >= 0)."""
+    bound = check_at_least("the exponent bound", bound, 0)
+    return product(range(-bound, bound + 1), repeat=rank)
+
+
 def monomial_grid(rank: int, bound: int) -> list[LaurentPoly]:
     """All monomials with exponents in [-bound, bound] (bound >= 0), in a fixed order."""
-    if bound < 0:
-        raise ValueError(f"the exponent bound must be >= 0, got {bound}")
-    return [
-        LaurentPoly.monomial(rank, exps)
-        for exps in product(range(-bound, bound + 1), repeat=rank)
-    ]
+    return [LaurentPoly.monomial(rank, exps) for exps in _exponent_box(rank, bound)]
 
 
 def basis_grid(kappa: int, bound: int) -> list[SkeinElement]:
     """All basis pairs with exponents in [-bound, bound] (bound >= 0), all permutations."""
-    if bound < 0:
-        raise ValueError(f"the exponent bound must be >= 0, got {bound}")
     return [
         SkeinElement.basis(kappa, exps, perm)
-        for exps in product(range(-bound, bound + 1), repeat=kappa)
+        for exps in _exponent_box(kappa, bound)
         for perm in all_permutations(kappa)
     ]
 
@@ -132,8 +130,7 @@ def basis_grid(kappa: int, bound: int) -> list[SkeinElement]:
 def _generator_letters(kappa: int) -> list[GeneratorLetter]:
     """Every generator and derived loop generator letter, each sign in turn:
     the braid letters s_i, then the loop letters x_i, then y_i."""
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    kappa = check_at_least("kappa", kappa, 1)
     return [GeneratorLetter(kind, i, sign)
             for kind in _KINDS for i in range(1, _max_index(kind, kappa) + 1) for sign in (1, -1)]
 
@@ -155,8 +152,7 @@ def random_words(kappa: int, count: int, max_len: int, seed: int) -> list[Genera
     and kappa < 1, count < 0 or max_len < 1 raise ``ValueError``."""
     kappa, count, max_len = index(kappa), index(count), index(max_len)
     for name, value, least in (("kappa", kappa, 1), ("count", count, 0), ("max_len", max_len, 1)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+        check_at_least(name, value, least)
     rng = random.Random(seed)
     alphabet = default_alphabet(kappa)
     return [

@@ -30,7 +30,7 @@ from operator import index
 from typing import Callable, Iterable
 
 from ._tokens import TokenStream, parse_signed_int
-from .errors import ParseError, RankMismatchError, check_index, reduce_through_constructor
+from .errors import ParseError, RankMismatchError, check_at_least, check_index, reduce_through_constructor
 from .scalars import ScalarPoly, c_power, format_powers, hbar
 
 _KINDS = ("s", "x", "y")
@@ -53,8 +53,7 @@ class GeneratorLetter:
         object.__setattr__(self, "sign", index(self.sign))
         if self.sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {self.sign}")
-        if self.index < 1:
-            raise ValueError(f"letter index must be >= 1, got {self.index}")
+        check_at_least("letter index", self.index, 1)
 
     __reduce__ = reduce_through_constructor
 
@@ -77,9 +76,7 @@ class GeneratorWord:
     letters: tuple[GeneratorLetter, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa", index(self.kappa))
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
+        object.__setattr__(self, "kappa", check_at_least("kappa", self.kappa, 1))
         letters = tuple(self.letters)
         for letter in letters:
             if not isinstance(letter, GeneratorLetter):
@@ -235,8 +232,7 @@ def relation_table(kappa: int) -> list[RelationPair]:
     Relation 9 carries the scalar c^2 and for kappa = 1 degenerates to
     ``x1^-1 y1 x1 y1^-1 = c^2``.
     """
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    kappa = check_at_least("kappa", kappa, 1)
     one = ScalarPoly.one()
     rows: list[tuple] = []
     for i in range(1, kappa - 1):
