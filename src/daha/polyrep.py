@@ -31,7 +31,7 @@ mutated.
 from __future__ import annotations
 
 from .laurent import (
-    LaurentPoly, adjacent_ratio, braid_kernel, rotate_variables, rotate_variables_inverse,
+    LaurentPoly, _refuse, adjacent_ratio, braid_kernel, rotate_variables, rotate_variables_inverse,
 )
 from .scalars import s_power
 from .words import GeneratorWord, apply_word, apply_y1, apply_y1_inv
@@ -42,6 +42,8 @@ _S_INV = s_power(-1)
 
 def act_x(i: int, f: LaurentPoly, exp: int = 1) -> LaurentPoly:
     """Multiply by X_i^exp (exp = -1 gives the inverse letter)."""
+    if not isinstance(f, LaurentPoly):
+        _refuse("act_x", f)
     return f * LaurentPoly.variable(f._rank, i, exp)
 
 

@@ -22,8 +22,7 @@ without the accumulate-and-prune loop that general products need.
 
 Each result is built once: an operation fills one new dict (a sum copies the
 larger operand's dict and walks the smaller one) and stores it in a new
-instance, with no pass through the validating constructor.  A sum with the
-zero polynomial returns the other operand itself.
+instance, with no pass through the validating constructor.
 """
 
 from __future__ import annotations
@@ -114,8 +113,6 @@ class ScalarPoly:
         # Copy the larger operand's dict and walk only the smaller one.
         if len(self._terms) < len(other._terms):
             self, other = other, self
-        if not other._terms:
-            return self
         data = self._terms.copy()
         for key, coeff in other._terms.items():
             total = data.get(key, 0) + coeff

@@ -57,7 +57,7 @@ class TestLoopLetters:
 
 
 class TestBraidLetter:
-    @pytest.mark.parametrize("act", [act_sigma, act_sigma_inv])
+    @pytest.mark.parametrize("act", [act_sigma, act_sigma_inv, act_x])
     @pytest.mark.parametrize("value", [SkeinElement.basis(2, (1, 0)), s_power(1)],
                              ids=["SkeinElement", "ScalarPoly"])
     def test_refuses_another_class(self, act, value):
