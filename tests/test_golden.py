@@ -72,6 +72,10 @@ CASES = {
         "eval", "--rep", "poly", "--kappa", "3", "--word", "y2*s1^-1*x1^-1*y1^-1",
         "--elem", "d*X1^2*X2^-1 - (c + d^-1)*X3 + 3*s*d^2", "--d-eq-s",
     ],
+    "eval_poly_k4_wide": [
+        "eval", "--rep", "poly", "--kappa", "4", "--word", "s3*y1^-1*s1^-1*s2",
+        "--elem", "(s + c^-1)*X1^3*X2^-2 - 2*X1^-2*X2^3 + X2*X3^6 - s^2*X1*X2 + X1^-1*X2^-1",
+    ],
     "eval_poly_k2_parenthesized": [
         "eval", "--rep", "poly", "--kappa", "2", "--word", "x2^-1*s1^2",
         "--elem", "-(s - s^-1)*X1^-1*X2 + c^2",
