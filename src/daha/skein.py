@@ -15,7 +15,8 @@ Coefficients live in Z[s^±1, c^±1, d^±1]: ``s`` from crossing resolutions
 (hbar = s - s^-1), ``c`` from sliding across the puncture, and ``d`` from
 ends sliding past each other on the target curves.
 
-Generator actions (all pure functions; inputs never mutated):
+Generator actions (all pure functions; inputs never mutated; anything but a
+:class:`SkeinElement` is refused with ``TypeError`` naming its class):
 
 * ``x_i`` multiplies by a_i, i.e. increments the i-th exponent.
 
@@ -265,6 +266,8 @@ class SkeinElement(SparseCombination):
 
 def act_x(i: int, v: SkeinElement, exp: int = 1) -> SkeinElement:
     """Multiply by a_i^exp: shift the i-th exponent of every basis term."""
+    if not isinstance(v, SkeinElement):
+        _refuse("act_x", v, SkeinElement)
     offset = [0] * v._rank
     offset[check_index("variable index", i, v._rank) - 1] = exp
     return v.shift_exponents(offset)
@@ -324,6 +327,8 @@ def act_sigma(i: int, v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
     per run of adds of the same two objects.  This is exact: scalars are
     immutable and their arithmetic is pure.
     """
+    if not isinstance(v, SkeinElement):
+        _refuse("act_sigma", v, SkeinElement)
     kappa = v._rank
     i = check_index("braid index", i, kappa - 1)
     by_exps: dict[ExponentVector, list[tuple[Permutation, ScalarPoly]]] = {}
@@ -381,6 +386,8 @@ def _braided_half(i, swapped_exps, pairs, rules, d_eq_s):
 
 def act_sigma_inv(i: int, v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
     """Apply s_i^-1 = s_i - hbar."""
+    if not isinstance(v, SkeinElement):
+        _refuse("act_sigma_inv", v, SkeinElement)
     return act_sigma(i, v, d_eq_s) - v.scale(hbar())
 
 
@@ -404,11 +411,15 @@ def _rotate_inverse(v: SkeinElement) -> SkeinElement:
 
 def act_y1(v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
     """Apply y_1 (:func:`~daha.words.apply_y1`)."""
+    if not isinstance(v, SkeinElement):
+        _refuse("act_y1", v, SkeinElement)
     return apply_y1(v, _rotate, partial(act_sigma_inv, d_eq_s=d_eq_s))
 
 
 def act_y1_inv(v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
     """Apply y_1^-1 (:func:`~daha.words.apply_y1_inv`)."""
+    if not isinstance(v, SkeinElement):
+        _refuse("act_y1_inv", v, SkeinElement)
     return apply_y1_inv(v, _rotate_inverse, partial(act_sigma, d_eq_s=d_eq_s))
 
 

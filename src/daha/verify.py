@@ -107,22 +107,25 @@ class _Tally:
 # -- input suites ----------------------------------------------------------------
 
 
-def _exponent_box(rank: int, bound: int) -> Iterable[tuple[int, ...]]:
-    """The exponent vectors of length rank with entries in [-bound, bound] (bound >= 0)."""
+def _exponent_box(rank_name: str, rank: int, bound: int) -> Iterable[tuple[int, ...]]:
+    """The exponent vectors of length rank (rank >= 1, called ``rank_name`` in
+    its error) with entries in [-bound, bound] (bound >= 0).  The bound is
+    checked first."""
     bound = check_at_least("the exponent bound", bound, 0)
+    rank = check_at_least(rank_name, rank, 1)
     return product(range(-bound, bound + 1), repeat=rank)
 
 
 def monomial_grid(rank: int, bound: int) -> list[LaurentPoly]:
     """All monomials with exponents in [-bound, bound] (bound >= 0), in a fixed order."""
-    return [LaurentPoly.monomial(rank, exps) for exps in _exponent_box(rank, bound)]
+    return [LaurentPoly.monomial(rank, exps) for exps in _exponent_box("rank", rank, bound)]
 
 
 def basis_grid(kappa: int, bound: int) -> list[SkeinElement]:
     """All basis pairs with exponents in [-bound, bound] (bound >= 0), all permutations."""
     return [
         SkeinElement.basis(kappa, exps, perm)
-        for exps in _exponent_box(kappa, bound)
+        for exps in _exponent_box("kappa", kappa, bound)
         for perm in all_permutations(kappa)
     ]
 

@@ -44,12 +44,12 @@ class TestScalarOperands:
     def test_ring_operations_leave_operands_unchanged(self, data):
         a, b = scalar_operands(data.draw)
         before = (snapshot(a), snapshot(b))
-        results = [a + b, b + a, a - b, b - a, a * b, b * a, a * 3, -a, -b,
-                   a.substitute_d_eq_s(), b.substitute_d_eq_s()]
+        results = [a + b, b + a, a - b, b - a, a - a, a * b, b * a, a * 3, -a, -b,
+                   a + 2, 2 + a, a - 2, 2 - a, a.substitute_d_eq_s(), b.substitute_d_eq_s()]
         # Results may be operands themselves (a sum with zero, a product by
         # one), so combine them with the operands once more.
         for r in results:
-            r + a, b + r, r * a, -r
+            r + a, b + r, r - a, b - r, r * a, -r
         assert (snapshot(a), snapshot(b)) == before
 
 
@@ -85,3 +85,13 @@ class TestLaurentOperands:
         exact_divide(difference, 1)
         braid_kernel(f, 1)
         assert (snapshot(difference), dict(coeff.terms)) == before
+
+    def test_half_sweep_with_a_shared_coefficient_object(self):
+        # The half sweep starts a running sum at f's own coefficient object
+        # and stores each sum at two degrees; neither f nor the object changes.
+        coeff = ScalarPoly({(1, 0, 0): 1, (0, 1, 0): -2})
+        f = LaurentPoly(2, [((4, -1), coeff), ((-1, 4), coeff), ((2, 1), coeff), ((0, -3), coeff)])
+        before = (snapshot(f), dict(coeff.terms))
+        swapped, g = braid_kernel(f, 1)
+        g + f, swapped - g, g.scale(coeff)
+        assert (snapshot(f), dict(coeff.terms)) == before

@@ -103,6 +103,8 @@ LOWER_BOUNDS = [
     (lambda n: CheckReport("relations", n, 0, 0), "kappa", 1),
     (lambda n: monomial_grid(1, n), "the exponent bound", 0),
     (lambda n: basis_grid(1, n), "the exponent bound", 0),
+    (lambda n: monomial_grid(n, 0), "rank", 1),
+    (lambda n: basis_grid(n, 0), "kappa", 1),
     (lambda n: default_alphabet(n), "kappa", 1),
     (lambda n: single_generator_words(n), "kappa", 1),
     (lambda n: random_words(n, 1, 1, 0), "kappa", 1),
@@ -112,7 +114,7 @@ LOWER_BOUNDS = [
 LOWER_BOUND_IDS = [
     "LaurentPoly", "LaurentPoly.monomial", "LaurentPoly.variable", "SkeinElement",
     "all_permutations", "GeneratorLetter", "GeneratorWord", "relation_table", "CheckReport",
-    "monomial_grid", "basis_grid", "default_alphabet", "single_generator_words",
+    "monomial_grid", "basis_grid", "monomial_grid-rank", "basis_grid-kappa", "default_alphabet", "single_generator_words",
     "random_words-kappa", "random_words-count", "random_words-max_len",
 ]
 
@@ -122,6 +124,18 @@ def test_value_below_its_least_raises_one_message(call, what, least):
     with pytest.raises(ValueError) as info:
         call(least - 1)
     assert str(info.value) == f"{what} must be >= {least}, got {least - 1}"
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda n: monomial_grid(n, 0), "rank"),
+    (lambda n: basis_grid(n, 0), "kappa"),
+], ids=["monomial_grid", "basis_grid"])
+def test_negative_grid_rank_raises_one_message(call, what):
+    # Checked before itertools.product, which refuses a negative repeat
+    # with a message of its own.
+    with pytest.raises(ValueError) as info:
+        call(-1)
+    assert str(info.value) == f"{what} must be >= 1, got -1"
 
 
 @pytest.mark.parametrize("call, what, least", LOWER_BOUNDS, ids=LOWER_BOUND_IDS)

@@ -37,6 +37,7 @@ from daha.errors import ParseError
 from daha.laurent import adjacent_ratio, braid_kernel
 
 from conftest import laurent_polys, lopsided_pairs, scalar_polys, shared_coefficient_runs
+from kernel_oracle import composed_kernel
 from product_oracle import combination_sum, d_eq_s, laurent_product
 
 
@@ -515,6 +516,123 @@ class TestBraidKernel:
             swapped, g = braid_kernel(f, i)
             assert swapped == f
             assert not g
+
+
+def term(exps: tuple[int, ...], coeff: ScalarPoly | int = 1) -> LaurentPoly:
+    return LaurentPoly.monomial(len(exps), exps, coeff)
+
+
+M = MAX_EXPONENT
+A, B = s_power(1) + c_power(-1) * 3, d_power(2) - ScalarPoly.integer(2)
+HALF_SWEEP_CASES = {
+    # Pair sum 3: degrees 3 and -1 of one class.
+    "odd-pair-sum": (term((3, 0)) + term((-1, 4), 2), 1),
+    # Pair sum 2; the quotient's middle is degree 1, its own mirror.
+    "even-pair-sum": (term((3, -1)) + term((0, 2), c_power(1)), 1),
+    "negative-odd-pair-sum": (term((-4, 1)) + term((2, -5), s_power(1)), 1),
+    "negative-even-pair-sum": (term((-6, 2), A) + term((1, -5), B) + term((-3, -1)), 1),
+    # A class with its lone term at j = p - j, and one with equal
+    # coefficients at j and p - j: both are fixed by the swap.
+    "symmetric-classes": (term((2, 2), A) + term((3, 0), B) + term((0, 3), B)
+                          + term((2, -1)) + term((-1, 0), hbar()), 1),
+    "mirror-pair-unequal": (term((3, -1), A) + term((-1, 3), B), 1),
+    # Equal values in distinct objects at j and p - j, beside a class that moves.
+    "mirror-pair-equal-values": (term((4, 0), A) + term((0, 4), ScalarPoly(A.terms))
+                                 + term((1, -2), hbar()), 1),
+    # Pair sum 0: the sum is -A after degree 3 and cancels to zero at
+    # degree 2, so the quotient has no terms at degrees 1 and -2.
+    "sum-cancels-on-an-add": (term((3, -3), A) + term((-2, 2), A) + term((-1, 1), B), 1),
+    # The sum is A after degree 3 and the subtraction at degree 2 cancels it.
+    "sum-cancels-on-a-subtraction": (term((3, -3), -A) + term((2, -2), A) + term((-1, 1), B), 1),
+    "multi-term-coefficients": (term((2, -1), hbar()) + term((-2, 1), A * hbar()), 1),
+    "coefficients-with-d": (term((1, 3), d_power(-1)) + term((0, -2), B)
+                            + term((5, 0), d_power(1) * s_power(1) + c_power(-1)), 1),
+    "last-pair-at-kappa-5": (term((1, 0, -2, 3, -1), A) + term((0, 2, 1, -1, 4), B)
+                             + term((1, 0, -2, 0, 2)), 4),
+    "span-at-max-exponent": (term((M, -M), hbar()) + term((0, 3), c_power(1))
+                             + term((-M, M - 1), B), 1),
+    "span-at-max-exponent-kappa-3": (term((1, M, -M), A) + term((0, -M, M)) + term((1, 0, M)), 2),
+}
+
+
+def refuse_exact_divide(f, i):
+    raise AssertionError("exact_divide called on a multi-term input")
+
+
+class TestHalfSweep:
+    """braid_kernel on inputs of two or more terms that the swap moves,
+    against the composition of swap, subtraction, exact_divide and scale
+    (``tests/kernel_oracle.py``), with exact_divide refused."""
+
+    def check(self, monkeypatch, f, i):
+        expected = composed_kernel(f, i)
+        assert f.term_count() > 1 and swap_variables(f, i) != f
+        with monkeypatch.context() as patched:
+            patched.setattr(laurent, "exact_divide", refuse_exact_divide)
+            swapped, g = braid_kernel(f, i)
+        assert swapped == swap_variables(f, i)
+        assert g == expected
+        assert str(g) == str(expected)
+        return g
+
+    @pytest.mark.parametrize("name", sorted(HALF_SWEEP_CASES))
+    def test_named_case_matches_the_composition(self, monkeypatch, name):
+        self.check(monkeypatch, *HALF_SWEEP_CASES[name])
+
+    def test_a_cancelled_sum_leaves_a_gap(self, monkeypatch):
+        g = self.check(monkeypatch, *HALF_SWEEP_CASES["sum-cancels-on-an-add"])
+        assert {exps[0] for exps in g.terms} == {2, 0, -1, -3}
+
+    @pytest.mark.parametrize("kappa", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_inputs_match_the_composition(self, monkeypatch, kappa, seed):
+        rng = random.Random(7000 * kappa + seed)
+        f = seeded_poly(rng, kappa, terms=2 + 2 * kappa, spread=3)
+        i = rng.randint(1, kappa - 1)
+        if swap_variables(f, i) == f:
+            f = f + term(tuple(rng.randint(1, 3) if j == i - 1 else 0 for j in range(kappa)))
+        self.check(monkeypatch, f, i)
+
+    @pytest.mark.parametrize("kappa", [2, 3, 4, 5])
+    def test_every_pair_of_a_seeded_input(self, monkeypatch, kappa):
+        # Pair sums of both parities, and classes the swap fixes, at every i.
+        rng = random.Random(kappa)
+        f = seeded_poly(rng, kappa, terms=4 * kappa, spread=2)
+        for i in range(1, kappa):
+            pair_sums = {exps[i - 1] + exps[i] for exps in f.terms}
+            assert {p % 2 for p in pair_sums} == {0, 1}
+            self.check(monkeypatch, f, i)
+
+    def test_a_wrong_product_fails_certification(self, monkeypatch):
+        f, i = HALF_SWEEP_CASES["odd-pair-sum"]
+        monkeypatch.setattr(LaurentPoly, "__mul__", lambda self, other: LaurentPoly.zero(self.rank))
+        with pytest.raises(NonDivisibleError, match="certification failed"):
+            braid_kernel(f, i)
+
+    def test_certification_runs_under_optimize_flag(self):
+        # As for exact_divide: not an assert, so python -O still raises.
+        script = textwrap.dedent(
+            """
+            import sys
+            from daha import LaurentPoly, NonDivisibleError
+            from daha.laurent import braid_kernel
+            if __debug__:
+                sys.exit("expected to run under python -O")
+            f = LaurentPoly.variable(2, 1, 2) + LaurentPoly.variable(2, 2)
+            LaurentPoly.__mul__ = lambda self, other: LaurentPoly.zero(self.rank)
+            try:
+                braid_kernel(f, 1)
+            except NonDivisibleError:
+                print("raised")
+            """
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "raised"
 
 
 class TestSubstitute:

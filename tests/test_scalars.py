@@ -47,11 +47,37 @@ class TestArithmetic:
         lambda a: a + 1.5,
         lambda a: a - 1.5,
         lambda a: a * 1.5,
-        lambda a: a + 1,
-    ], ids=["add-float", "sub-float", "mul-float", "add-int"])
+        lambda a: 1.5 + a,
+        lambda a: 1.5 - a,
+    ], ids=["add-float", "sub-float", "mul-float", "radd-float", "rsub-float"])
     def test_operand_of_another_class_raises(self, operate):
         with pytest.raises(TypeError):
             operate(ONE)
+
+    @pytest.mark.parametrize("operate, scalar_form", [
+        (lambda a, n: a + n, lambda a, n: a + ScalarPoly.integer(n)),
+        (lambda a, n: n + a, lambda a, n: ScalarPoly.integer(n) + a),
+        (lambda a, n: a - n, lambda a, n: a - ScalarPoly.integer(n)),
+        (lambda a, n: n - a, lambda a, n: ScalarPoly.integer(n) - a),
+    ], ids=["add-int", "radd-int", "sub-int", "rsub-int"])
+    @pytest.mark.parametrize("n", [0, 1, -2, 7])
+    def test_integer_operand_is_its_scalar(self, operate, scalar_form, n):
+        for a in (d_power(2), ZERO, ONE, hbar() + 2 * ONE):
+            assert operate(a, n) == scalar_form(a, n)
+
+    def test_integer_sums_and_differences(self):
+        assert d_power(2) - 2 == ScalarPoly({(0, 0, 2): 1, (0, 0, 0): -2})
+        assert 2 + d_power(2) == ScalarPoly({(0, 0, 2): 1, (0, 0, 0): 2})
+        assert 2 - ONE == ONE
+
+    @given(lopsided_pairs(scalar_polys(min_terms=0, max_terms=12), scalar_polys(max_terms=3)))
+    def test_difference_matches_the_sum_oracle(self, pair):
+        big, little = pair
+        for a, b in (pair, (little, big)):
+            expected = scalar_sum(a, ScalarPoly([(key, -n) for key, n in b.terms.items()]))
+            difference = a - b
+            assert difference == expected
+            assert 0 not in difference.terms.values()
 
     def test_values_of_another_class_are_unequal(self):
         assert (ONE == 1) is False

@@ -594,6 +594,23 @@ class TestWordAction:
         with pytest.raises(TypeError, match=f"multiply_by_a_poly expects a LaurentPoly, got {name}"):
             unit(2, E2).multiply_by_a_poly(poly)
 
+    @pytest.mark.parametrize("name, act", [
+        ("act_x", lambda v: act_x(1, v)),
+        ("act_sigma", lambda v: act_sigma(1, v)),
+        ("act_sigma_inv", lambda v: act_sigma_inv(1, v)),
+        ("act_y1", act_y1),
+        ("act_y1_inv", act_y1_inv),
+    ], ids=["act_x", "act_sigma", "act_sigma_inv", "act_y1", "act_y1_inv"])
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    @pytest.mark.parametrize("make", [LaurentPoly.one, lambda kappa: s_power(kappa)],
+                             ids=["LaurentPoly", "ScalarPoly"])
+    def test_generator_actions_refuse_another_class(self, name, act, kappa, make):
+        # The class is checked before the index, so kappa 1, which has no
+        # braid letter, names the class too.
+        value = make(kappa)
+        with pytest.raises(TypeError, match=f"^{name} expects a SkeinElement, got {type(value).__name__}$"):
+            act(value)
+
     def test_derived_loop_conjugation(self):
         # s_i x_i s_i = x_{i+1} and s_i y_i s_i = y_{i+1} as operator
         # identities on the skein module, mirroring the polynomial side.
