@@ -45,6 +45,17 @@ def X(i: int, exp: int = 1, rank: int = 2) -> LaurentPoly:
     return LaurentPoly.variable(rank, i, exp)
 
 
+def run_optimized(script: str) -> str:
+    """Run script under ``python -O`` with this checkout's sources; return its stdout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def crossing_binomial(rank: int, i: int) -> LaurentPoly:
     """X_i * X_{i+1}^-1 - 1, the divisor used throughout."""
     return X(i, 1, rank) * X(i + 1, -1, rank) - LaurentPoly.one(rank)
@@ -319,13 +330,7 @@ class TestExactDivide:
                 print("raised")
             """
         )
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "raised"
+        assert run_optimized(script) == "raised"
 
     def test_high_power_difference(self):
         f = X(1, 3) - X(2, 3) * X(1, 0)
@@ -626,13 +631,7 @@ class TestHalfSweep:
                 print("raised")
             """
         )
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "raised"
+        assert run_optimized(script) == "raised"
 
 
 class TestSubstitute:
