@@ -11,17 +11,19 @@ Two subcommands:
 Every numeric flag has a range, stated once per command as ``(flag, least,
 most)`` rows for :func:`_check_ranges`; a value outside it is a usage error,
 ``<flag> must be >= <least>, got <value>`` (or ``<= <most>``).  Exit codes
-are a stable contract: 0 success, 1 at least one check failed, 2 usage or
-parse error.  Every check header echoes kappa, the seed and the suite sizes
-so runs are reproducible; with ``--format json-lines`` the same information
-is emitted as one JSON record per line (a ``header`` record followed by
-``check`` records; see the README for the schema).
+are a stable contract: 0 success, 1 at least one check failed, 2 usage,
+parse or output error (such as a closed pipe).  Every check header echoes
+kappa, the seed and the suite sizes so runs are reproducible; with
+``--format json-lines`` the same information is emitted as one JSON record
+per line (a ``header`` record followed by ``check`` records; see the README
+for the schema).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import asdict
@@ -254,11 +256,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        return _cmd_check(args)
+        status = _cmd_eval(args) if args.command == "eval" else _cmd_check(args)
+        sys.stdout.flush()  # a closed output pipe raises here, not at exit
+        return status
     except (ValueError, IndexError, OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for stream, text in ((sys.stdout, ""), (sys.stderr, f"error: {exc}\n")):
+            try:
+                stream.write(text)
+                stream.flush()
+            except OSError:
+                # Python flushes both streams again at exit, so a stream that
+                # cannot be written (a closed pipe) goes to devnull and the
+                # error report is dropped; the exit code still reports it.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         return 2
 
 

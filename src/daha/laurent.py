@@ -26,9 +26,9 @@ representation is built from:
 
 and :func:`braid_kernel`, the divided difference ``(swap_i f - f) / (X_i
 X_{i+1}^-1 - 1)`` times ``hbar`` that both module actions of the braid
-letter s_i share.  It divides an input of two or more terms that
-:func:`swap_variables` does not fix by a half sweep over f's own terms
-(the quotient is a palindrome in each class, see :func:`_half_sweep`), and
+letter s_i share.  Both of its divisions walk the classes of
+:func:`_classes`: an input of two or more terms that :func:`swap_variables`
+does not fix by a half sweep over f's own terms (:func:`_half_sweep`), and
 a one-term input by the composition of :func:`swap_variables`, subtraction
 and :func:`exact_divide`.  The three operators refuse anything but a
 :class:`LaurentPoly` with ``TypeError`` naming its class.
@@ -372,17 +372,42 @@ def adjacent_ratio(rank: int, i: int) -> LaurentPoly:
     return _wrap(LaurentPoly, rank, {tuple(shift): ScalarPoly.one()})
 
 
-def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
-    """Divide f exactly by X_i * X_{i+1}^-1 - 1.
+def _classes(f: LaurentPoly, i: int) -> dict[tuple, dict[int, ScalarPoly]]:
+    """The division classes of f's terms at the pair i, i+1.
 
-    Substituting Y = X_i * X_{i+1}^-1 groups the terms of f into classes that
-    differ only by powers of Y (same exponents away from positions i, i+1 and
-    same exponent sum at those positions); within each class the division is
-    univariate Laurent division by Y - 1.  A class is divisible exactly when
-    its coefficients sum to zero; otherwise :class:`NonDivisibleError`, naming
-    the class and its remainder, is raised.  Differences (swap - 1)f are
-    always divisible, so this error on such input signals an arithmetic bug
-    upstream.
+    Substituting Y = X_i * X_{i+1}^-1 groups the terms into classes that
+    differ only by powers of Y: the same exponents ``head`` before position
+    i and ``tail`` after position i+1, and the same exponent sum
+    ``pair_sum`` at the two positions.  Within a class, division by Y - 1 is
+    univariate Laurent division.  Returns ``{(head, pair_sum, tail): {j:
+    coefficient}}``, with j the degree at position i, in the order of f's
+    terms; ``i`` goes through ``operator.index``.
+    """
+    idx = index(i) - 1
+    groups: dict[tuple, dict[int, ScalarPoly]] = {}
+    for key, coeff in f._terms.items():
+        groups.setdefault((key[:idx], key[idx] + key[idx + 1], key[idx + 2 :]), {})[key[idx]] = coeff
+    return groups
+
+
+def _certify(holds: bool, name: str, i: int) -> None:
+    """Raise :class:`NonDivisibleError`, named for ``name``, unless the
+    multiply-back check of a quotient by Y - 1 holds.  Each check's only
+    product is by the one-term Y = X_i X_{i+1}^-1, a key shift, and it runs
+    under every interpreter flag, so a wrong quotient fails even under -O."""
+    if not holds:
+        i = index(i)
+        raise NonDivisibleError(f"{name} multiply-back certification failed for X{i}*X{i + 1}^-1 - 1")
+
+
+def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
+    """Divide f exactly by X_i * X_{i+1}^-1 - 1, class by class
+    (:func:`_classes`).
+
+    A class is divisible exactly when its coefficients sum to zero;
+    otherwise :class:`NonDivisibleError`, naming the class and its
+    remainder, is raised.  Differences (swap - 1)f are always divisible, so
+    this error on such input signals an arithmetic bug upstream.
 
     Each class is one sweep from its top degree down.  The running sum beta
     starts at the top coefficient; at each lower degree j the sweep stores
@@ -391,25 +416,15 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
     cancelled to zero is replaced by the next coefficient, not added to it,
     so no sum involves the zero polynomial.
 
-    The quotient q is certified before it is returned: ``q * Y == f + q``
-    must hold, which is ``q * (Y - 1) == f`` rearranged so that the product
-    is a one-term shift.  A failed certification also raises
-    :class:`NonDivisibleError`.
+    The quotient q is certified (:func:`_certify`) as ``q * Y == f + q``,
+    which is ``q * (Y - 1) == f`` rearranged.
     """
     if not isinstance(f, LaurentPoly):
         _refuse("exact_divide", f)
     rank = f._rank
     i = check_index("adjacent-pair index", i, rank - 1)
-    idx = i - 1
-    groups: dict[tuple, dict[int, ScalarPoly]] = {}
-    for key, coeff in f._terms.items():
-        cls = key[:idx] + (key[idx] + key[idx + 1],) + key[idx + 2 :]
-        groups.setdefault(cls, {})[key[idx]] = coeff
-
     data: dict[ExponentVector, ScalarPoly] = {}
-    for cls, alphas in groups.items():
-        pair_sum = cls[idx]
-        head, tail = cls[:idx], cls[idx + 1 :]
+    for (head, pair_sum, tail), alphas in _classes(f, i).items():
         low, high = min(alphas), max(alphas)
         beta = alphas[high]
         for j in range(high - 1, low - 1, -1):
@@ -421,57 +436,37 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
         if beta._terms:
             raise NonDivisibleError(
                 f"polynomial is not divisible by X{i}*X{i + 1}^-1 - 1 "
-                f"(class {cls} leaves remainder {beta})"
+                f"(class {head + (pair_sum,) + tail} leaves remainder {beta})"
             )
     quotient = _wrap(LaurentPoly, rank, data)
-
-    # Multiply-back certification of quotient * (Y - 1) == f, checked as
-    # quotient * Y == f + quotient (the same identity by distributivity) so
-    # that the only product is by the one-term Y = X_i X_{i+1}^-1: a key
-    # shift.  It runs under every interpreter flag, so a wrong quotient is a
-    # failed check even under ``python -O``.
-    if quotient * adjacent_ratio(rank, i) != f + quotient:
-        raise NonDivisibleError(
-            f"exact_divide multiply-back certification failed for X{i}*X{i + 1}^-1 - 1"
-        )
+    _certify(quotient * adjacent_ratio(rank, i) == f + quotient, "exact_divide", i)
     return quotient
 
 
 def _half_sweep(f: LaurentPoly, swapped: LaurentPoly, i: int) -> LaurentPoly:
     """The exact quotient ``(swapped - f) / (X_i X_{i+1}^-1 - 1)``, built from
-    f's own terms, where ``swapped`` is ``swap_i f``.
+    f's own terms, class by class (:func:`_classes`), where ``swapped`` is
+    ``swap_i f``.
 
-    The classes are those of :func:`exact_divide`.  In a class of pair sum p,
-    with f's coefficient a_j at degree j, the difference has coefficient
-    ``b_k = a_(p-k) - a_k`` at degree k.  It is antisymmetric, so the
-    quotient, whose coefficient at k - 1 is the sum of the b_m with m >= k,
-    is a palindrome: its coefficients at k - 1 and p - k are equal.  So one
-    running sum, walked from the top degree ``max(j, p - j)`` of the class
-    down to ``p // 2 + 1``, gives all of it: at each k it adds a_(p-k),
-    subtracts a_k and stores the sum at degree k - 1 and, right after it, at
-    p - k.  A sum that has cancelled to zero is stored nowhere and replaced
-    by the next term, not added to.  The two places of a sum are adjacent in
-    the quotient's dict, so a coefficient map over it (such as
-    ``.scale(hbar())``) makes one product per sum.
+    In a class of pair sum p, with f's coefficient a_j at degree j, the
+    difference has coefficient ``b_k = a_(p-k) - a_k`` at degree k.  It is
+    antisymmetric, so the quotient, whose coefficient at k - 1 is the sum of
+    the b_m with m >= k, is a palindrome: its coefficients at k - 1 and
+    p - k are equal.  So one running sum, walked from the top degree
+    ``max(j, p - j)`` of the class down to ``p // 2 + 1``, gives all of it:
+    at each k it adds a_(p-k), subtracts a_k and stores the sum at degree
+    k - 1 and, right after it, at p - k.  A sum that has cancelled to zero
+    is stored nowhere and replaced by the next term, not added to.  The two
+    places of a sum are adjacent in the quotient's dict, so a coefficient
+    map over it (such as ``.scale(hbar())``) makes one product per sum.
 
-    The quotient q is certified as ``q * Y + f == swapped + q``, which is
-    ``q * (Y - 1) == swapped - f`` rearranged so that the only product is by
-    the one-term Y = X_i X_{i+1}^-1 and no difference is built.  Like the
-    check of :func:`exact_divide`, it runs under every interpreter flag and
-    raises :class:`NonDivisibleError` when it fails.
+    The quotient q is certified (:func:`_certify`) as ``q * Y + f ==
+    swapped + q``, which is ``q * (Y - 1) == swapped - f`` rearranged so
+    that no difference is built.
     """
     rank = f._rank
-    i = index(i)
-    idx = i - 1
-    groups: dict[tuple, dict[int, ScalarPoly]] = {}
-    for key, coeff in f._terms.items():
-        cls = key[:idx] + (key[idx] + key[idx + 1],) + key[idx + 2 :]
-        groups.setdefault(cls, {})[key[idx]] = coeff
-
     data: dict[ExponentVector, ScalarPoly] = {}
-    for cls, alphas in groups.items():
-        pair_sum = cls[idx]
-        head, tail = cls[:idx], cls[idx + 1 :]
+    for (head, pair_sum, tail), alphas in _classes(f, i).items():
         beta = _ZERO
         for k in range(max(max(alphas), pair_sum - min(alphas)), pair_sum // 2, -1):
             alpha = alphas.get(pair_sum - k)
@@ -484,11 +479,7 @@ def _half_sweep(f: LaurentPoly, swapped: LaurentPoly, i: int) -> LaurentPoly:
                 data[head + (k - 1, pair_sum - k + 1) + tail] = beta
                 data[head + (pair_sum - k, k) + tail] = beta
     quotient = _wrap(LaurentPoly, rank, data)
-
-    if quotient * adjacent_ratio(rank, i) + f != swapped + quotient:
-        raise NonDivisibleError(
-            f"braid_kernel multiply-back certification failed for X{i}*X{i + 1}^-1 - 1"
-        )
+    _certify(quotient * adjacent_ratio(rank, i) + f == swapped + quotient, "braid_kernel", i)
     return quotient
 
 
@@ -518,9 +509,8 @@ def braid_kernel(f: LaurentPoly, i: int) -> tuple[LaurentPoly, LaurentPoly]:
     swapped = swap_variables(f, i)
     if swapped == f:
         return f, _wrap(LaurentPoly, f._rank, {})
-    if len(f._terms) > 1:
-        return swapped, _half_sweep(f, swapped, i).scale(hbar())
-    return swapped, exact_divide(swapped - f, i).scale(hbar())
+    quotient = _half_sweep(f, swapped, i) if len(f._terms) > 1 else exact_divide(swapped - f, i)
+    return swapped, quotient.scale(hbar())
 
 
 # -- parsing ---------------------------------------------------------------------

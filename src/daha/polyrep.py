@@ -77,4 +77,6 @@ def act_y1_inv(f: LaurentPoly) -> LaurentPoly:
 
 def act_word(word: GeneratorWord, f: LaurentPoly) -> LaurentPoly:
     """Act by a generator word, rightmost letter first (:func:`~daha.words.apply_word`)."""
+    if not isinstance(f, LaurentPoly):
+        _refuse("act_word", f)
     return apply_word(word, f, (act_x, act_sigma, act_sigma_inv, act_y1, act_y1_inv))

@@ -426,6 +426,8 @@ def act_y1_inv(v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
 def act_word(word: GeneratorWord, v: SkeinElement, d_eq_s: bool = False) -> SkeinElement:
     """Act by a generator word, rightmost letter first (:func:`~daha.words.apply_word`),
     at d = s if ``d_eq_s``."""
+    if not isinstance(v, SkeinElement):
+        _refuse("act_word", v, SkeinElement)
     actions = (act_sigma, act_sigma_inv, act_y1, act_y1_inv)
     if d_eq_s:
         actions = tuple(partial(act, d_eq_s=True) for act in actions)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from operator import index
-from typing import Callable, Iterable
+from typing import Callable
 
 from ._tokens import TokenStream, parse_signed_int
 from .errors import ParseError, RankMismatchError, check_at_least, check_index, reduce_through_constructor
@@ -146,10 +146,6 @@ def parse_word(text: str, kappa: int) -> GeneratorWord:
         ts.expect("*", "'*' between letters")
 
 
-def _sigma_run(indices: Iterable[int]) -> list[GeneratorLetter]:
-    return [GeneratorLetter("s", i, 1) for i in indices]
-
-
 def expand_x(i: int, kappa: int) -> GeneratorWord:
     """The word s_{i-1} ... s_1 x_1 s_1 ... s_{i-1} representing x_i."""
     return _expand_loop("x", i, kappa)
@@ -161,10 +157,8 @@ def expand_y(i: int, kappa: int) -> GeneratorWord:
 
 
 def _expand_loop(kind: str, i: int, kappa: int) -> GeneratorWord:
-    i = check_index("loop index", i, kappa)
-    descending = _sigma_run(range(i - 1, 0, -1))
-    ascending = _sigma_run(range(1, i))
-    return GeneratorWord(kappa, descending + [GeneratorLetter(kind, 1, 1)] + ascending)
+    descending = [f"s{j}" for j in range(check_index("loop index", i, kappa) - 1, 0, -1)]
+    return parse_word("*".join([*descending, f"{kind}1", *reversed(descending)]), kappa)
 
 
 def apply_word(word: GeneratorWord, v, actions: tuple[Callable, ...]):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -382,3 +386,32 @@ class TestIntegerTokens:
                            "--word", "s1^" + "9" * (MAX_INT_DIGITS + 1), "--elem", "1")
         assert code == 2
         assert f"longer than {MAX_INT_DIGITS} digits (at position 3)" in err
+
+
+class TestClosedPipe:
+    """A closed output pipe is an OSError like any other: exit 2, whether
+    stdout is buffered or not and wherever stderr goes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--suite", "relations", "--kappa", "2", "--max-exp", "0"],
+        ["eval", "--rep", "poly", "--kappa", "2", "--word", "s1", "--elem", "X1"],
+    ], ids=["check", "eval"])
+    @pytest.mark.parametrize("stderr", ["same-pipe", "devnull"])
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_pipe_exits_two(self, argv, stderr, unbuffered):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "daha.cli", *argv], stdout=write_end,
+                stderr=write_end if stderr == "same-pipe" else subprocess.DEVNULL,
+                env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2

@@ -21,6 +21,10 @@ from daha.words import GeneratorLetter, GeneratorWord, relation_table
 
 KAPPA = 3
 
+# X1^2 + 3*X2: two terms that every adjacent swap moves, so the braid
+# kernel divides it by the half sweep.
+TWO_TERMS = LaurentPoly(KAPPA, {(2, 0, 0): 1, (0, 1, 0): 3})
+
 # (caller, what, most): each of the library's index checks, at kappa 3,
 # through every public function that states it.
 CHECKS = [
@@ -28,6 +32,8 @@ CHECKS = [
     (lambda i: exact_divide(LaurentPoly.zero(KAPPA), i), "adjacent-pair index", KAPPA - 1),
     (lambda i: adjacent_ratio(KAPPA, i), "adjacent-pair index", KAPPA - 1),
     (lambda i: polyrep.act_sigma(i, LaurentPoly.one(KAPPA)), "adjacent-pair index", KAPPA - 1),
+    (lambda i: polyrep.act_sigma(i, TWO_TERMS), "adjacent-pair index", KAPPA - 1),
+    (lambda i: polyrep.act_sigma_inv(i, TWO_TERMS), "adjacent-pair index", KAPPA - 1),
     (lambda i: LaurentPoly.variable(KAPPA, i), "variable index", KAPPA),
     (lambda i: polyrep.act_x(i, LaurentPoly.one(KAPPA)), "variable index", KAPPA),
     (lambda i: Permutation((2, 3, 1))(i), "position", KAPPA),
@@ -42,6 +48,7 @@ CHECKS = [
 ]
 IDS = [
     "swap_variables", "exact_divide", "adjacent_ratio", "polyrep.act_sigma",
+    "polyrep.act_sigma-two-terms", "polyrep.act_sigma_inv-two-terms",
     "LaurentPoly.variable", "polyrep.act_x", "Permutation.__call__", "Permutation.precompose_swap",
     "skein.act_x", "skein.act_x-zero", "skein.act_sigma_base", "skein.act_sigma",
     "skein.act_sigma-zero", "expand_x", "expand_y",
@@ -73,6 +80,11 @@ def test_every_index_in_range_is_accepted(call, what, most):
 class Two:
     def __index__(self):
         return 2
+
+
+@pytest.mark.parametrize("call, what, most", CHECKS, ids=IDS)
+def test_index_object_is_accepted_as_its_int_index(call, what, most):
+    assert call(Two()) == call(2)
 
 
 def test_check_index_returns_a_plain_int():

@@ -57,7 +57,11 @@ class TestLoopLetters:
 
 
 class TestBraidLetter:
-    @pytest.mark.parametrize("act", [act_sigma, act_sigma_inv, act_x])
+    @pytest.mark.parametrize("act", [
+        act_sigma, act_sigma_inv, act_x,
+        pytest.param(lambda i, f: act_word(GeneratorWord(2), f), id="act_word-empty"),
+        pytest.param(lambda i, f: act_word(parse_word(f"s{i}", 2), f), id="act_word-s1"),
+    ])
     @pytest.mark.parametrize("value", [SkeinElement.basis(2, (1, 0)), s_power(1)],
                              ids=["SkeinElement", "ScalarPoly"])
     def test_refuses_another_class(self, act, value):

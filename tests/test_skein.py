@@ -600,7 +600,10 @@ class TestWordAction:
         ("act_sigma_inv", lambda v: act_sigma_inv(1, v)),
         ("act_y1", act_y1),
         ("act_y1_inv", act_y1_inv),
-    ], ids=["act_x", "act_sigma", "act_sigma_inv", "act_y1", "act_y1_inv"])
+        ("act_word", lambda v: act_word(GeneratorWord(1), v)),
+        ("act_word", lambda v: act_word(parse_word("x1", 1), v)),
+    ], ids=["act_x", "act_sigma", "act_sigma_inv", "act_y1", "act_y1_inv", "act_word-empty",
+            "act_word-x1"])
     @pytest.mark.parametrize("kappa", [1, 2, 3])
     @pytest.mark.parametrize("make", [LaurentPoly.one, lambda kappa: s_power(kappa)],
                              ids=["LaurentPoly", "ScalarPoly"])

@@ -187,6 +187,14 @@ class TestExpansion:
         with pytest.raises(IndexError):
             expand_y(3, 2)
 
+    @pytest.mark.parametrize("expand", [expand_x, expand_y])
+    def test_expansion_is_capped_like_a_parsed_word(self, expand):
+        # A loop of index i expands to 2i - 1 letters.
+        last = (MAX_WORD_LETTERS + 1) // 2
+        assert len(expand(last, last)) == 2 * last - 1
+        with pytest.raises(ParseError, match=f"more than {MAX_WORD_LETTERS} letters"):
+            expand(last + 1, last + 1)
+
 
 class TestApplyWord:
     @pytest.mark.parametrize("v, rank_name", [(LaurentPoly.one(2), "rank"),
