@@ -42,8 +42,11 @@ factor contributes a copy of the left factor scaled by ``factor`` with every
 exponent vector moved by ``shift``.  The shift is injective, so a row is
 canonical as built: the first row becomes the result's dict, and later rows
 merge into it through :func:`accumulate`.  A right factor of one term with
-coefficient 1 (as in ``x_i``, the s_i^-1 of the polynomial representation and
-the certification of :func:`exact_divide`) is that one row, with no scaling.
+coefficient 1 (as in ``x_i`` and the certification of :func:`exact_divide`)
+is that one row, with no scaling.  The product by ``X_i * X_{i+1}^-1`` in the
+certification of :func:`_half_sweep` and in the s_i^-1 of the polynomial
+representation skips ``__mul__``: :func:`_times_ratio` shifts the keys
+directly.
 """
 
 from __future__ import annotations
@@ -372,6 +375,19 @@ def adjacent_ratio(rank: int, i: int) -> LaurentPoly:
     return _wrap(LaurentPoly, rank, {tuple(shift): ScalarPoly.one()})
 
 
+def _times_ratio(p: LaurentPoly, i: int) -> LaurentPoly:
+    """The product ``p * X_i X_{i+1}^-1`` as a key shift: each exponent
+    vector gains 1 at position i and loses 1 at i + 1.  The shift is
+    injective, so the result is canonical as built.  ``i`` goes through
+    ``operator.index`` and is not range-checked: callers pass an index
+    that :func:`swap_variables` has already checked."""
+    i = index(i)
+    return _wrap(LaurentPoly, p._rank, {
+        key[: i - 1] + (key[i - 1] + 1, key[i] - 1) + key[i + 1 :]: coeff
+        for key, coeff in p._terms.items()
+    })
+
+
 def _classes(f: LaurentPoly, i: int) -> dict[tuple, dict[int, ScalarPoly]]:
     """The division classes of f's terms at the pair i, i+1.
 
@@ -439,6 +455,9 @@ def exact_divide(f: LaurentPoly, i: int) -> LaurentPoly:
                 f"(class {head + (pair_sum,) + tail} leaves remainder {beta})"
             )
     quotient = _wrap(LaurentPoly, rank, data)
+    # A product, not the key shift of _times_ratio: on the skein workloads
+    # this certificate is the only caller of LaurentPoly.__mul__, which the
+    # benchmark's tracer requires to be called (ROADMAP item 1).
     _certify(quotient * adjacent_ratio(rank, i) == f + quotient, "exact_divide", i)
     return quotient
 
@@ -462,7 +481,8 @@ def _half_sweep(f: LaurentPoly, swapped: LaurentPoly, i: int) -> LaurentPoly:
 
     The quotient q is certified (:func:`_certify`) as ``q * Y + f ==
     swapped + q``, which is ``q * (Y - 1) == swapped - f`` rearranged so
-    that no difference is built.
+    that no difference is built; the product ``q * Y`` is the key shift of
+    :func:`_times_ratio`.
     """
     rank = f._rank
     data: dict[ExponentVector, ScalarPoly] = {}
@@ -479,7 +499,7 @@ def _half_sweep(f: LaurentPoly, swapped: LaurentPoly, i: int) -> LaurentPoly:
                 data[head + (k - 1, pair_sum - k + 1) + tail] = beta
                 data[head + (pair_sum - k, k) + tail] = beta
     quotient = _wrap(LaurentPoly, rank, data)
-    _certify(quotient * adjacent_ratio(rank, i) + f == swapped + quotient, "braid_kernel", i)
+    _certify(_times_ratio(quotient, i) + f == swapped + quotient, "braid_kernel", i)
     return quotient
 
 

@@ -31,7 +31,7 @@ mutated.
 from __future__ import annotations
 
 from .laurent import (
-    LaurentPoly, _refuse, adjacent_ratio, braid_kernel, rotate_variables, rotate_variables_inverse,
+    LaurentPoly, _refuse, _times_ratio, braid_kernel, rotate_variables, rotate_variables_inverse,
 )
 from .scalars import s_power
 from .words import GeneratorWord, apply_word, apply_y1, apply_y1_inv
@@ -59,10 +59,11 @@ def act_sigma_inv(i: int, f: LaurentPoly) -> LaurentPoly:
     Here ``(swap_i f, g)`` is :func:`~daha.laurent.braid_kernel` and
     ``Y = X_i X_{i+1}^-1``: from ``(s - s^-1) * (swap_i f - f) = (Y - 1) * g``,
     ``s * swap_i f + g - (s - s^-1) * f = s^-1 * swap_i f + Y * g``.  The
-    product by the one-term Y is a key shift.
+    product by the one-term Y is the key shift of
+    :func:`~daha.laurent._times_ratio`.
     """
     swapped, g = braid_kernel(f, i)
-    return swapped.scale(_S_INV) + g * adjacent_ratio(f._rank, i)
+    return swapped.scale(_S_INV) + _times_ratio(g, i)
 
 
 def act_y1(f: LaurentPoly) -> LaurentPoly:

@@ -224,9 +224,13 @@ def relation_table(kappa: int) -> list[RelationPair]:
     a tuple lists (coefficient, word) terms.  Relation 8 is quadratic: it is
     stored as s_i s_i on the left against ``hbar * s_i + 1`` on the right.
     Relation 9 carries the scalar c^2 and for kappa = 1 degenerates to
-    ``x1^-1 y1 x1 y1^-1 = c^2``.
+    ``x1^-1 y1 x1 y1^-1 = c^2``.  Its right side has 2(kappa - 1) letters,
+    so a kappa past the word cap :data:`MAX_WORD_LETTERS` raises
+    :class:`ParseError` before any row is built.
     """
     kappa = check_at_least("kappa", kappa, 1)
+    if 2 * (kappa - 1) > MAX_WORD_LETTERS:
+        raise ParseError(f"relation 9 at kappa {kappa} expands to more than {MAX_WORD_LETTERS} letters")
     one = ScalarPoly.one()
     rows: list[tuple] = []
     for i in range(1, kappa - 1):

@@ -56,6 +56,15 @@ def run_optimized(script: str) -> str:
     return done.stdout.strip()
 
 
+def shift_the_wrong_way(p: LaurentPoly, i: int) -> LaurentPoly:
+    """p * X_i^-1 * X_{i+1}: a wrong stand-in for laurent._times_ratio, which
+    multiplies by X_i * X_{i+1}^-1."""
+    return LaurentPoly(p.rank, {
+        exps[: i - 1] + (exps[i - 1] - 1, exps[i] + 1) + exps[i + 1 :]: coeff
+        for exps, coeff in p.terms.items()
+    })
+
+
 def crossing_binomial(rank: int, i: int) -> LaurentPoly:
     """X_i * X_{i+1}^-1 - 1, the divisor used throughout."""
     return X(i, 1, rank) * X(i + 1, -1, rank) - LaurentPoly.one(rank)
@@ -610,7 +619,7 @@ class TestHalfSweep:
 
     def test_a_wrong_product_fails_certification(self, monkeypatch):
         f, i = HALF_SWEEP_CASES["odd-pair-sum"]
-        monkeypatch.setattr(LaurentPoly, "__mul__", lambda self, other: LaurentPoly.zero(self.rank))
+        monkeypatch.setattr(laurent, "_times_ratio", shift_the_wrong_way)
         with pytest.raises(NonDivisibleError, match="certification failed"):
             braid_kernel(f, i)
 
@@ -619,12 +628,14 @@ class TestHalfSweep:
         script = textwrap.dedent(
             """
             import sys
-            from daha import LaurentPoly, NonDivisibleError
+            from daha import LaurentPoly, NonDivisibleError, laurent
             from daha.laurent import braid_kernel
             if __debug__:
                 sys.exit("expected to run under python -O")
             f = LaurentPoly.variable(2, 1, 2) + LaurentPoly.variable(2, 2)
-            LaurentPoly.__mul__ = lambda self, other: LaurentPoly.zero(self.rank)
+            laurent._times_ratio = lambda p, i: LaurentPoly(
+                p.rank, {(a - 1, b + 1): coeff for (a, b), coeff in p.terms.items()}
+            )
             try:
                 braid_kernel(f, 1)
             except NonDivisibleError:
@@ -632,6 +643,51 @@ class TestHalfSweep:
             """
         )
         assert run_optimized(script) == "raised"
+
+
+class Index:
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+class TestTimesRatio:
+    """laurent._times_ratio against the product by adjacent_ratio."""
+
+    def check(self, p, i):
+        got = laurent._times_ratio(p, i)
+        expected = p * adjacent_ratio(p.rank, i)
+        assert got == expected
+        assert list(got.terms) == list(expected.terms)
+        assert got.rank == p.rank
+
+    @pytest.mark.parametrize("kappa", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_inputs_at_every_pair(self, kappa, seed):
+        # Multi-term coefficients, one of them carrying d.
+        rng = random.Random(9000 * kappa + seed)
+        p = seeded_poly(rng, kappa, terms=3 * kappa, spread=3)
+        for i in range(1, kappa):
+            self.check(p, i)
+
+    @pytest.mark.parametrize("kappa", [2, 3, 4, 5])
+    def test_zero(self, kappa):
+        for i in range(1, kappa):
+            self.check(LaurentPoly.zero(kappa), i)
+            assert not laurent._times_ratio(LaurentPoly.zero(kappa), i)
+
+    def test_exponents_at_the_parse_cap(self):
+        p = term((M, -M, M)) + term((-M, M, 0), A) + term((0, -M, -M), B)
+        for i in (1, 2):
+            self.check(p, i)
+
+    def test_index_object(self):
+        p = term((2, -1, 0), A) + term((0, 3, -2), B)
+        for i in (1, 2):
+            assert laurent._times_ratio(p, Index(i)) == laurent._times_ratio(p, i)
+            self.check(p, Index(i))
 
 
 class TestSubstitute:

@@ -16,11 +16,15 @@ from daha import (
     parse_word,
     relation_table,
 )
-from daha import LaurentPoly, SkeinElement, polyrep, skein
+from daha import LaurentPoly, SkeinElement, polyrep, skein, words
 from daha.errors import ParseError, RankMismatchError
 from daha.words import MAX_WORD_LETTERS, apply_word
 
 from conftest import generator_words
+
+
+def refuse_parse_word(text: str, kappa: int) -> GeneratorWord:
+    raise AssertionError(f"parse_word({text!r}, {kappa}) was called")
 
 
 def letters(*triples: tuple[str, int, int]) -> list[GeneratorLetter]:
@@ -298,6 +302,13 @@ class TestRelationTable:
     def test_rejects_kappa_zero(self):
         with pytest.raises(ValueError, match="kappa must be >= 1"):
             relation_table(0)
+
+    def test_kappa_past_the_word_cap_fails_before_any_row(self, monkeypatch):
+        # Relation 9's right side has 2(kappa - 1) letters: 12 at kappa 7.
+        monkeypatch.setattr(words, "MAX_WORD_LETTERS", 10)
+        monkeypatch.setattr(words, "parse_word", refuse_parse_word)
+        with pytest.raises(ParseError, match="more than 10 letters"):
+            relation_table(7)
 
     def test_all_sides_share_kappa(self):
         for kappa in (1, 2, 3, 4, 5):
